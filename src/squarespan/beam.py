@@ -2,10 +2,11 @@
 
 The beam keeps, at every cardinality, the ``beam_width`` best similarity
 classes by figure count (ties broken by ascending centered key) and
-expands them with the same candidate sweeps the exact enumeration uses.
-A square step may add one or two points, so each level feeds two pending
-candidate pools; a pool is finalized when the search reaches its
-cardinality.
+expands them with :func:`squarespan.extension._children`, the child
+generator the exact enumeration uses, passing each pool's floor as the
+lowest score worth building.  A square step may add one or two points,
+so each level feeds two pending candidate pools; a pool is finalized
+when the search reaches its cardinality.
 
 Retention is exact: the retained classes are precisely the first
 ``beam_width`` of the deduplicated pool under (score descending, key
@@ -22,20 +23,17 @@ ascending).  Two internal shortcuts never change that set:
 Every best value is certified on the spot by recounting its witness
 with the counting routines of :mod:`squarespan.geometry`.  For a fixed
 configuration the retained classes, best values, witnesses and level
-statistics are all independent of the worker count.
+statistics are all independent of the worker count: parents are
+expanded in fixed-size chunks whose children reach the pools in chunk
+order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from squarespan.corpus import CorpusRecord, render_grid
-from squarespan.extension import (
-    _child_points,
-    _rit_candidates,
-    _square_candidates,
-)
+from squarespan.extension import _children, _map_chunks
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     centered_key,
@@ -231,36 +229,8 @@ def _expand_beam_chunk(args):
     mode, items, floors = args
     out: dict[int, dict[int, list[tuple]]] = {d: {} for d in floors}
     for pts, m in items:
-        member = frozenset(pts)
-        if mode == "rit":
-            sink = out[1]
-            floor1 = floors[1]
-            for v, tally in _rit_candidates(pts, member).items():
-                s = m + tally
-                if s < floor1:
-                    continue
-                child, _ = _child_points(pts, [v])
-                sink.setdefault(s, []).append(tuple(child))
-            continue
-        t1, t2 = _square_candidates(pts, member)
-        if 1 in floors:
-            sink = out[1]
-            floor1 = floors[1]
-            for v, tally in t1.items():
-                s = m + tally // 3
-                if s < floor1:
-                    continue
-                child, _ = _child_points(pts, [v])
-                sink.setdefault(s, []).append(tuple(child))
-        if 2 in floors:
-            sink = out[2]
-            floor2 = floors[2]
-            for (r, q), pairs in t2.items():
-                s = m + t1.get(r, 0) // 3 + t1.get(q, 0) // 3 + pairs
-                if s < floor2:
-                    continue
-                child, _ = _child_points(pts, [r, q])
-                sink.setdefault(s, []).append(tuple(child))
+        for d, s, child in _children(mode == "square", pts, m, floors):
+            out[d].setdefault(s, []).append(child)
     return out
 
 
@@ -325,8 +295,9 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
             top_key, top_score = level[0]
             witness = normalize_to_grid(key_to_pointset(top_key))
             recount = count_fn(witness)
-            assert recount == top_score, \
-                f"witness recount {recount} != tracked score {top_score}"
+            if recount != top_score:
+                raise RuntimeError(f"witness recount {recount} != "
+                                   f"tracked score {top_score}")
             cur_best = top_score
             cur_origin = n
             result.witnesses[n] = witness
@@ -347,16 +318,8 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
                 pools.setdefault(t, _Pool(base_cap))
                 floors[d] = pools[t].floor
         if floors:
-            items = _reps(level)
-            if cfg.threads > 1 and len(items) > 64:
-                chunk = max(1, len(items) // (cfg.threads * 8))
-                parts = [(mode, items[i:i + chunk], floors)
-                         for i in range(0, len(items), chunk)]
-                with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-                    produced = list(ex.map(_expand_beam_chunk, parts))
-            else:
-                produced = [_expand_beam_chunk((mode, items, floors))]
-            for out in produced:
+            for out in _map_chunks(_expand_beam_chunk, mode, _reps(level),
+                                   floors, cfg.threads):
                 for d in sorted(out):
                     sink = pools[n + d]
                     for s in sorted(out[d], reverse=True):

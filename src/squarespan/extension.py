@@ -6,13 +6,20 @@ missing vertices (one or two) of a square completed from a pair.  Whenever
 a completion is half-integer the whole set is doubled first, so everything
 stays on the integer grid.
 
+One child generator, ``_children``, serves both the breadth-first
+enumerator here and the beam search in :mod:`squarespan.beam`.  It scores
+every child from the candidate sweep itself: a new rit through candidate
+v contains exactly one point pair of the parent, so each (pair,
+third-vertex) hit contributes one rit; a new square with three parent
+vertices is hit by three parent pairs, so those tallies are divided by
+three, while a square with two parent vertices is hit exactly once.  The
+caller names the steps to produce and a score floor for each, so no child
+is built that the caller would throw away.  ``_map_chunks`` runs either
+caller's per-chunk work, serially or in a process pool.
+
 The breadth-first enumerator expands level n into levels n+1 (and n+2 for
-square modes) and deduplicates classes by their centered similarity key.
-New-figure counts are obtained from the candidate sweep itself: a new rit
-through candidate v contains exactly one point pair of the parent, so each
-(pair, third-vertex) hit contributes one rit; a new square with three
-parent vertices is hit by three parent pairs, so those tallies are divided
-by three, while a square with two parent vertices is hit exactly once.
+square modes, while n+2 <= n_max) and deduplicates classes by their
+centered similarity key as the chunks' children arrive.
 
 The neighborhood mode keeps only neighborhood point sets: classes in
 which the squares through some single vertex (a root) cover the whole
@@ -32,6 +39,7 @@ from dataclasses import dataclass, field
 from squarespan.geometry import (
     Point,
     PointSet,
+    decomposition_at,
     neighborhood_graph,
     rits_of,
     squares_of,
@@ -130,12 +138,67 @@ def _square_candidates(pts, member):
 def _child_points(pts, new_doubled):
     """Parent points plus doubled candidates, halved back when possible.
 
-    Returns (points, scaled): scaled is True when the parent had to be
-    doubled to keep a half-integer candidate integral.
+    Returns (points, scaled): points is a tuple, and scaled is True when
+    the parent had to be doubled to keep a half-integer candidate
+    integral.
     """
     if all(not (x & 1 or y & 1) for x, y in new_doubled):
-        return list(pts) + [(x >> 1, y >> 1) for x, y in new_doubled], False
-    return [(2 * x, 2 * y) for x, y in pts] + list(new_doubled), True
+        return (*pts, *((x >> 1, y >> 1) for x, y in new_doubled)), False
+    return (*((2 * x, 2 * y) for x, y in pts), *new_doubled), True
+
+
+def _children(square: bool, pts, m: int, floors):
+    """Children of one parent with figure count m, scored from the sweep.
+
+    Yields (step, score, child points) for 1-extensions (``square``
+    false) or 2-extensions.  ``floors`` maps each step to produce (1,
+    and 2 for squares) to the lowest child score worth building; other
+    steps and lower scores are skipped before a child is built.  Step-1
+    children come first, each step in sweep order.
+    """
+    member = frozenset(pts)
+    if square:
+        t1, t2 = _square_candidates(pts, member)
+        div = 3
+    else:
+        t1, t2, div = _rit_candidates(pts, member), {}, 1
+    floor = floors.get(1)
+    if floor is not None:
+        for v, tally in t1.items():
+            s = m + tally // div
+            if s >= floor:
+                yield 1, s, _child_points(pts, (v,))[0]
+    floor = floors.get(2)
+    if floor is not None:
+        for (r, q), pairs in t2.items():
+            s = m + t1.get(r, 0) // 3 + t1.get(q, 0) // 3 + pairs
+            if s >= floor:
+                yield 2, s, _child_points(pts, (r, q))[0]
+
+
+# Parents per task.  Fixed, so that serial and pooled runs see the same
+# chunks in the same order and give the same results.
+_CHUNK = 64
+
+
+def _map_chunks(fn, mode: str, items, floors, threads: int):
+    """Yield fn((mode, chunk, floors)) for consecutive _CHUNK-sized
+    chunks of items.
+
+    Results come in chunk order, each as soon as it is ready.  With more
+    than one chunk and ``threads`` > 1 the tasks run in a process pool,
+    which is shut down when the generator ends or is closed.
+    """
+    tasks = [(mode, items[i:i + _CHUNK], floors)
+             for i in range(0, len(items), _CHUNK)]
+    if threads <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        yield from pool.map(fn, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -230,38 +293,20 @@ def root_degrees(ps: PointSet) -> list[int]:
     return out
 
 
-def _expand_parent(mode: str, key: tuple, m: int):
-    """Children of one enumeration class: list of (extra_n, child_key, child_m)."""
-    out = []
-    ps = key_to_pointset(key)
-    pts, member = ps.points, ps.member_set
-    if mode == "rit-1ext":
-        for v, tally in _rit_candidates(pts, member).items():
-            child, _ = _child_points(pts, [v])
-            out.append((1, centered_key(tuple(child)), m + tally))
-        return out
-    rooted_only = mode == "neighborhood-2ext"
-    t1, t2 = _square_candidates(pts, member)
-    for v, tally in t1.items():
-        assert tally % 3 == 0
-        child, _ = _child_points(pts, [v])
-        if rooted_only and not root_degrees(PointSet.of(child)):
-            continue
-        out.append((1, centered_key(tuple(child)), m + tally // 3))
-    for (r, s), pairs in t2.items():
-        d = t1.get(r, 0) // 3 + t1.get(s, 0) // 3 + pairs
-        child, _ = _child_points(pts, [r, s])
-        if rooted_only and not root_degrees(PointSet.of(child)):
-            continue
-        out.append((2, centered_key(tuple(child)), m + d))
-    return out
-
-
 def _expand_chunk(args):
-    mode, items = args
+    """Keyed children of (key, m) parents: a list of (step, child key,
+    child m).  ``floors`` as for _children; in neighborhood mode children
+    without a root are dropped before they are keyed."""
+    mode, items, floors = args
+    square = mode != "rit-1ext"
+    rooted_only = mode == "neighborhood-2ext"
     out = []
     for key, m in items:
-        out.extend(_expand_parent(mode, key, m))
+        pts = key_to_pointset(key).points
+        for step, cm, child in _children(square, pts, m, floors):
+            if rooted_only and not root_degrees(PointSet.of(child)):
+                continue
+            out.append((step, centered_key(child), cm))
     return out
 
 
@@ -282,9 +327,11 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
     if mode == "rit-1ext":
         seed = PointSet.of([(0, 0), (1, 0), (0, 1)])
         start_n = 3
+        steps = (1,)
     else:
         seed = PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
         start_n = 4
+        steps = (1, 2)
     seed_key = centered_key(seed.points)
 
     table = EnumTable(mode=mode, delta_max={} if rooted_mode else None)
@@ -304,40 +351,31 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
         if n == n_max or not bucket:
             continue
 
-        items = list(bucket.items())
-        if threads > 1 and len(items) > 64:
-            chunk = max(1, len(items) // (threads * 8))
-            chunks = [(mode, items[i:i + chunk])
-                      for i in range(0, len(items), chunk)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                produced = pool.map(_expand_chunk, chunks)
-                children = [c for batch in produced for c in batch]
-        else:
-            children = _expand_chunk((mode, items))
-
-        for extra, key, cm in children:
-            target = n + extra
-            if target > n_max:
-                continue
-            if class_filter is not None \
-                    and not class_filter(key_to_pointset(key), cm):
-                continue
-            level = levels.setdefault(target, {})
-            prev = level.setdefault(key, cm)
-            assert prev == cm, "same class reached with differing counts"
-            if max_level_classes is not None \
-                    and len(level) > max_level_classes:
-                table.complete = False
-                table.note = (f"level n={target} exceeded "
-                              f"{max_level_classes} classes; "
-                              f"cells with n >= {target} dropped")
-                for t in list(levels):
-                    if t >= target:
-                        del levels[t]
-                for cell in list(table.entries):
-                    if cell[0] >= target:
-                        del table.entries[cell]
-                return table
+        floors = {d: 0 for d in steps if n + d <= n_max}
+        for children in _map_chunks(_expand_chunk, mode, list(bucket.items()),
+                                    floors, threads):
+            for step, key, cm in children:
+                target = n + step
+                if class_filter is not None \
+                        and not class_filter(key_to_pointset(key), cm):
+                    continue
+                level = levels.setdefault(target, {})
+                if level.setdefault(key, cm) != cm:
+                    raise RuntimeError(
+                        "same class reached with differing counts")
+                if max_level_classes is not None \
+                        and len(level) > max_level_classes:
+                    table.complete = False
+                    table.note = (f"level n={target} exceeded "
+                                  f"{max_level_classes} classes; "
+                                  f"cells with n >= {target} dropped")
+                    for t in list(levels):
+                        if t >= target:
+                            del levels[t]
+                    for cell in list(table.entries):
+                        if cell[0] >= target:
+                            del table.entries[cell]
+                    return table
     return table
 
 
@@ -437,26 +475,7 @@ def decompose_at(ps: PointSet, p: Point) -> Decomposition:
     """
     if neighborhood(ps, p).member_set != ps.member_set:
         raise ValueError("point set is not the neighborhood of p")
-    vertices, edges = neighborhood_graph(ps, p)
-    adj: dict[Point, list[Point]] = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[Point] = set()
-    comps: list[set[Point]] = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    parts = tuple(PointSet.of(c | {p}) for c in comps)
+    parts = tuple(decomposition_at(ps, p))
     for a, b in itertools.combinations(parts, 2):
         assert a.member_set & b.member_set == {p}
     sqs = squares_of(ps)

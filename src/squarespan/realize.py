@@ -119,7 +119,8 @@ class RealizabilityReport:
     (constants included).  ``degenerate_pairs`` lists the label pairs
     whose difference vanishes on every solution -- non-empty exactly
     when not realizable.  ``forced_squares`` lists quadruples outside
-    the prescribed set spanned in every realization.
+    the prescribed set spanned in every realization; it is empty when
+    the set is not realizable.
     """
 
     realizable: bool
@@ -330,10 +331,11 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None) -> SolutionSpace:
 # ---------------------------------------------------------------------------
 
 
-def _form_on_space(space: SolutionSpace, coeffs) -> tuple:
-    """An ambient linear form as (constant, parameter coefficients)."""
-    const = sum(c * v for c, v in zip(coeffs, space.particular))
-    lin = tuple(sum(c * v for c, v in zip(coeffs, b)) for b in space.basis)
+def _form_on_space(space: SolutionSpace, terms) -> tuple:
+    """A sparse ambient linear form, given as ((column, coefficient), ...),
+    as (constant, parameter coefficients) on the space."""
+    const = sum(c * space.particular[col] for col, c in terms)
+    lin = tuple(sum(c * b[col] for col, c in terms) for b in space.basis)
     return const, lin
 
 
@@ -342,23 +344,22 @@ def _vanishes(form) -> bool:
     return not const and not any(lin)
 
 
-def _pair_forms(space: SolutionSpace, j: int, k: int):
-    """The two real difference forms of z_j - z_k on the space."""
-    n_vars = len(space.particular)
-    out = []
-    for off in (0, 1):
-        coeffs = [Fraction(0)] * n_vars
-        coeffs[2 * (j - 1) + off] = Fraction(1)
-        coeffs[2 * (k - 1) + off] = Fraction(-1)
-        out.append(_form_on_space(space, coeffs))
-    return out
+def _vanish_on(space: SolutionSpace, term_lists) -> bool:
+    """True iff every form vanishes identically; stops at the first that
+    does not."""
+    return all(_vanishes(_form_on_space(space, t)) for t in term_lists)
 
 
-def _square_forms(space: SolutionSpace, quad: Quad):
+def _pair_terms(j: int, k: int):
+    """The two real difference forms of z_j - z_k."""
+    return tuple(((2 * (j - 1) + off, 1), (2 * (k - 1) + off, -1))
+                 for off in (0, 1))
+
+
+def _square_terms(quad: Quad):
     """The four real forms whose joint vanishing makes ``quad`` a square."""
-    n_vars = len(space.particular)
     a, b, c, d = quad
-    specs = (
+    return (
         ((2 * (a - 1), 1), (2 * (b - 1), -1), (2 * (c - 1), 1),
          (2 * (d - 1), -1)),
         ((2 * (a - 1) + 1, 1), (2 * (b - 1) + 1, -1), (2 * (c - 1) + 1, 1),
@@ -368,13 +369,6 @@ def _square_forms(space: SolutionSpace, quad: Quad):
         ((2 * (d - 1) + 1, 1), (2 * (a - 1) + 1, -1), (2 * (b - 1), -1),
          (2 * (a - 1), 1)),
     )
-    out = []
-    for spec in specs:
-        coeffs = [Fraction(0)] * n_vars
-        for col, sign in spec:
-            coeffs[col] += sign
-        out.append(_form_on_space(space, coeffs))
-    return out
 
 
 def degenerate_pairs(oss: OrientedSquareSet,
@@ -382,11 +376,9 @@ def degenerate_pairs(oss: OrientedSquareSet,
     """Label pairs whose points coincide in every solution."""
     if space is None:
         space = solve_space(oss)
-    out = []
-    for j, k in itertools.combinations(range(1, oss.order + 1), 2):
-        if all(_vanishes(f) for f in _pair_forms(space, j, k)):
-            out.append((j, k))
-    return tuple(out)
+    return tuple(
+        (j, k) for j, k in itertools.combinations(range(1, oss.order + 1), 2)
+        if _vanish_on(space, _pair_terms(j, k)))
 
 
 def forced_squares(oss: OrientedSquareSet,
@@ -395,7 +387,9 @@ def forced_squares(oss: OrientedSquareSet,
 
     All six oriented 4-cycles of every label 4-subset are tested; a
     quadruple is forced when its four defining forms vanish identically
-    on the solution space.
+    on the solution space.  The scan is meant for realizable systems: on
+    a non-realizable one, coinciding labels make many quadruples vanish
+    vacuously, and :func:`is_realizable` reports no forced squares.
     """
     if space is None:
         space = solve_space(oss)
@@ -405,9 +399,7 @@ def forced_squares(oss: OrientedSquareSet,
         a = sub[0]
         for perm in itertools.permutations(sub[1:]):
             quad = (a,) + perm
-            if quad in present:
-                continue
-            if all(_vanishes(f) for f in _square_forms(space, quad)):
+            if quad not in present and _vanish_on(space, _square_terms(quad)):
                 out.append(quad)
     return tuple(out)
 
@@ -472,8 +464,17 @@ def verify_realization(oss: OrientedSquareSet, points) -> bool:
     return True
 
 
+def _forms(space: SolutionSpace, term_lists) -> list:
+    return [_form_on_space(space, t) for t in term_lists]
+
+
+def _collinear(order: int) -> tuple[RatPoint, ...]:
+    """Distinct points on a line: a realization spanning no squares."""
+    return tuple((Fraction(i), Fraction(0)) for i in range(order))
+
+
 def _distinctness_groups(space: SolutionSpace, order: int):
-    return [_pair_forms(space, j, k)
+    return [_forms(space, _pair_terms(j, k))
             for j, k in itertools.combinations(range(1, order + 1), 2)]
 
 
@@ -483,22 +484,27 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
     The verdict tests, pair by pair, whether the difference z_j - z_k
     vanishes identically on the unrestricted solution space; the set is
     realizable exactly when no pair does.  The witness is swept on the
-    gauged space and verified geometrically before being reported.
+    gauged space and verified geometrically before being reported; a
+    system without squares gets distinct points on a line instead.
     """
     space = solve_space(oss)
     degenerate = degenerate_pairs(oss, space)
-    forced = forced_squares(oss, space)
-    witness = None
-    if not degenerate:
+    if degenerate:
+        return RealizabilityReport(
+            realizable=False, dimension=space.dimension, witness=None,
+            degenerate_pairs=degenerate, forced_squares=())
+    if oss.squares:
         gauged = solve_gauged(oss)
         params = rationalize(
             gauged, _distinctness_groups(gauged, oss.order))
         witness = tuple(gauged.points_at(params))
-        assert verify_realization(oss, witness), \
-            "swept witness fails geometric verification"
+    else:
+        witness = _collinear(oss.order)
+    assert verify_realization(oss, witness), \
+        "witness fails geometric verification"
     return RealizabilityReport(
-        realizable=not degenerate, dimension=space.dimension,
-        witness=witness, degenerate_pairs=degenerate, forced_squares=forced)
+        realizable=True, dimension=space.dimension, witness=witness,
+        degenerate_pairs=(), forced_squares=forced_squares(oss, space))
 
 
 def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
@@ -507,6 +513,8 @@ def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
     space = solve_space(oss)
     if degenerate_pairs(oss, space):
         raise ValueError("oriented square set is not realizable")
+    if not oss.squares:
+        return _collinear(oss.order)
     allowed = set(oss.squares) | set(forced_squares(oss, space))
     gauged = solve_gauged(oss)
     groups = _distinctness_groups(gauged, oss.order)
@@ -514,7 +522,7 @@ def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
         for perm in itertools.permutations(sub[1:]):
             quad = (sub[0],) + perm
             if quad not in allowed:
-                groups.append(_square_forms(gauged, quad))
+                groups.append(_forms(gauged, _square_terms(quad)))
     params = rationalize(gauged, groups)
     witness = tuple(gauged.points_at(params))
     assert verify_realization(oss, witness)

@@ -231,20 +231,13 @@ def key_to_pointset(key: tuple[int, ...], marked: bool = False):
     For a marked key returns (PointSet, marked point) with the marked
     point expressed in the representative's coordinates.
     """
-    coords = key[1:-2] if marked else key[1:]
-    pts = [(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
-    minx = min(x for x, _ in pts)
-    miny = min(y for _, y in pts)
-    g = 0
-    for x, y in pts:
-        g = gcd(g, x - minx)
-        g = gcd(g, y - miny)
-    if g == 0:
-        g = 1
-    ps = PointSet.of(((x - minx) // g, (y - miny) // g) for x, y in pts)
+    coords = key[1:]
+    pts = _normalize(tuple(zip(coords[::2], coords[1::2])))
     if not marked:
-        return ps
-    mp = ((key[-2] - minx) // g, (key[-1] - miny) // g)
+        return PointSet.of(pts)
+    # The marked image is one of the key's points, so normalizing it with
+    # them leaves the shift and the divisor unchanged.
+    ps, mp = PointSet.of(pts[:-1]), pts[-1]
     if mp not in ps:
         raise ValueError("marked image missing from key points")
     return ps, mp

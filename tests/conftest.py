@@ -17,3 +17,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in lines:
         terminalreporter.line(line)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Count the process pools the extension and beam code start."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import squarespan.extension
+
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(squarespan.extension, "ProcessPoolExecutor",
+                        CountingPool)
+    return started

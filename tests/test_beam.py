@@ -1,5 +1,6 @@
 import pytest
 
+import squarespan.beam
 from squarespan.beam import BeamConfig, beam_search
 from squarespan.extension import one_extensions, two_extensions
 from squarespan.geometry import PointSet, count_rit, count_squares
@@ -101,6 +102,22 @@ class TestDeterminismAndThreads:
             BeamConfig(mode="rit", n_target=8, beam_width=30, threads=2))
         assert one.best == two.best
         assert one.witnesses == two.witnesses
+
+    def test_worker_pool_matches_serial(self, pool_starts):
+        # Width 70 retains more than one 64-parent chunk from level 6 on.
+        one = beam_search(BeamConfig(mode="rit", n_target=8, beam_width=70))
+        assert not pool_starts
+        two = beam_search(
+            BeamConfig(mode="rit", n_target=8, beam_width=70, threads=2))
+        assert pool_starts
+        assert one.best == two.best
+        assert one.witnesses == two.witnesses
+        assert one.levels == two.levels
+
+    def test_witness_recount_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(squarespan.beam, "count_squares", lambda ps: 0)
+        with pytest.raises(RuntimeError, match="witness recount"):
+            beam_search(BeamConfig(mode="square", n_target=6, beam_width=5))
 
 
 class TestConfigValidation:

@@ -102,6 +102,7 @@ class TestRealize:
         assert "dimension=2" in out
         pair_line = next(l for l in out if l.startswith("degenerate_pairs="))
         assert len(pair_line.split("=", 1)[1].split()) == 45
+        assert not any(l.startswith("forced_squares=") for l in out)
 
     def test_realizable_report(self, tmp_path, capsys):
         f = tmp_path / "s.oss"
@@ -110,6 +111,13 @@ class TestRealize:
         out = lines_of(capsys)
         assert "realizable=true" in out
         assert "dimension=4" in out
+        assert any(l.startswith("witness=") for l in out)
+
+    def test_square_free_system(self, capsys):
+        assert run(["realize", "--text", "n=3"]) == 0
+        out = lines_of(capsys)
+        assert "realizable=true" in out
+        assert "dimension=6" in out
         assert any(l.startswith("witness=") for l in out)
 
     def test_realize_json(self, tmp_path, capsys):

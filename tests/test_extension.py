@@ -1,5 +1,6 @@
 import pytest
 
+import squarespan.extension
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.extension import (
     decompose_at,
@@ -110,6 +111,27 @@ class TestEnumeration:
         assert "4\t1\t1" in lines
         rooted = enumerate_classes("neighborhood-2ext", 6)
         assert rooted.to_tsv().splitlines()[0] == "n\tm\tclasses\tdelta_max"
+
+    def test_no_child_past_n_max_is_keyed(self, monkeypatch):
+        sizes = []
+
+        def recording_key(pts):
+            sizes.append(len(pts))
+            return centered_key(pts)
+
+        monkeypatch.setattr(squarespan.extension, "centered_key",
+                            recording_key)
+        table = enumerate_classes("square-2ext", 9)
+        assert max(n for n, _ in table.entries) == 9
+        assert max(sizes) == 9
+
+    def test_worker_pool_matches_serial(self, pool_starts):
+        serial = enumerate_classes("rit-1ext", 7)
+        assert not pool_starts
+        pooled = enumerate_classes("rit-1ext", 7, threads=2)
+        assert pool_starts  # level 6 has 385 parents: several chunks
+        assert pooled.entries == serial.entries
+        assert pooled.to_tsv() == serial.to_tsv()
 
 
 class TestRootlessClassesExplainTheCorrection:

@@ -161,6 +161,21 @@ class TestCertificates:
     def test_no_forced_squares_in_four_square_chain(self):
         assert forced_squares(FOUR_SQUARES_10) == ()
 
+    def test_non_realizable_reports_no_forced_squares(self):
+        report = is_realizable(FIVE_SQUARES_10)
+        assert report.forced_squares == ()
+        assert json.loads(report.to_json())["forced_squares"] == []
+
+    def test_square_free_system_is_realizable(self):
+        oss = OrientedSquareSet(order=3, squares=())
+        report = is_realizable(oss)
+        assert report.realizable
+        assert report.dimension == 6
+        assert report.degenerate_pairs == ()
+        assert report.forced_squares == ()
+        assert verify_realization(oss, report.witness)
+        assert verify_realization(oss, strict_witness(oss))
+
     def test_report_json(self):
         data = json.loads(is_realizable(FIVE_SQUARES_10).to_json())
         assert data["realizable"] is False
