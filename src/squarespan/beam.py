@@ -12,11 +12,14 @@ Retention is exact: the retained classes are precisely the first
 ``beam_width`` of the deduplicated pool under (score descending, key
 ascending).  Two internal shortcuts never change that set:
 
-* candidates are stored in per-score buckets with a bounded total; when
-  the bound is hit the lowest buckets are evicted and later candidates
-  at evicted scores are skipped.  If deduplication then runs short of
-  ``beam_width`` classes, the pool is rebuilt from the retained parents
-  with a larger bound, so eviction is only ever an accelerator;
+* candidates are stored in per-score buckets with a bounded total, each
+  as its parent's point tuple (shared, not copied) and the one or two
+  points it adds; the child's own point tuple is built only when it is
+  keyed.  When the bound is hit the lowest buckets are evicted and
+  later candidates at evicted scores are skipped.  If deduplication
+  then runs short of ``beam_width`` classes, the pool is rebuilt from
+  the retained parents with a larger bound, so eviction is only ever an
+  accelerator;
 * candidates are canonicalized bucket by bucket from the top and keying
   stops once the retention boundary's bucket is complete.
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from squarespan.corpus import CorpusRecord, render_grid
-from squarespan.extension import _children, _map_chunks
+from squarespan.extension import _child_points, _children, _map_chunks
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     centered_key,
@@ -149,9 +152,12 @@ class _PoolShortfall(Exception):
 class _Pool:
     """Raw candidates in per-score buckets with a bounded total.
 
-    Exceeding ``cap`` evicts whole lowest-score buckets down to half the
-    cap (never the highest bucket); the largest evicted score is
-    remembered and later arrivals at or below it are dropped.
+    A candidate is stored as (parent points, new_doubled), the parent's
+    tuple and the doubled points ``extension._children`` adds to it; it
+    counts as one entry.  Exceeding ``cap`` evicts whole lowest-score
+    buckets down to half the cap (never the highest bucket); the largest
+    evicted score is remembered and later arrivals at or below it are
+    dropped.
     """
 
     __slots__ = ("buckets", "cap", "stored", "collected", "evicted")
@@ -168,11 +174,11 @@ class _Pool:
         """Minimal score still accepted."""
         return self.evicted + 1
 
-    def add(self, score: int, pts: tuple) -> None:
+    def add(self, score: int, parent: tuple, new_doubled: tuple) -> None:
         self.collected += 1
         if score <= self.evicted:
             return
-        self.buckets.setdefault(score, []).append(pts)
+        self.buckets.setdefault(score, []).append((parent, new_doubled))
         self.stored += 1
         if self.stored > self.cap:
             for s in sorted(self.buckets)[:-1]:
@@ -186,9 +192,12 @@ def _finalize(pool: _Pool, width: int):
     """Exact top-``width`` classes: (retained, keyed, distinct).
 
     ``retained`` is a list of (key, score) in (score descending, key
-    ascending) order.  Raises _PoolShortfall when fewer than ``width``
+    ascending) order; each candidate's child points are built just
+    before it is keyed.  Raises _PoolShortfall when fewer than ``width``
     classes survive deduplication although candidates were evicted --
     only then could an evicted candidate have belonged to the result.
+    Raises RuntimeError when one class turns up at two scores, which
+    would make the scores, and so the retained set, wrong.
     """
     retained: list[tuple[tuple, int]] = []
     seen: dict[tuple, int] = {}
@@ -197,11 +206,13 @@ def _finalize(pool: _Pool, width: int):
         if len(retained) >= width:
             break
         fresh = []
-        for pts in pool.buckets[s]:
+        for parent, new in pool.buckets[s]:
             keyed += 1
-            k = centered_key(pts)
+            k = centered_key(_child_points(parent, new)[0])
             if k in seen:
-                assert seen[k] == s, "same class at two scores"
+                if seen[k] != s:
+                    raise RuntimeError(
+                        f"same class at two scores: {seen[k]} and {s}")
                 continue
             seen[k] = s
             fresh.append(k)
@@ -220,18 +231,30 @@ def _finalize(pool: _Pool, width: int):
 
 
 def _expand_beam_chunk(args):
-    """Children of the given (points, score) parents.
+    """Children of the given (points, score) parents, unbuilt.
 
     ``floors`` maps a step size (1, and 2 for squares) to the minimal
-    child score worth materializing; steps absent from ``floors`` are
-    not produced.  Returns {step: {score: [child point tuple, ...]}}.
+    child score worth collecting; steps absent from ``floors`` are not
+    produced.  Returns {step: {score: [(i, new_doubled), ...]}}, i being
+    the parent's index in ``items`` and new_doubled the points the child
+    adds to it, so a pooled worker sends back no point sets.
     """
     mode, items, floors = args
     out: dict[int, dict[int, list[tuple]]] = {d: {} for d in floors}
-    for pts, m in items:
-        for d, s, child in _children(mode == "square", pts, m, floors):
-            out[d].setdefault(s, []).append(child)
+    for i, (pts, m) in enumerate(items):
+        for d, s, new in _children(mode == "square", pts, m, floors):
+            out[d].setdefault(s, []).append((i, new))
     return out
+
+
+def _collect(sinks, items, out) -> None:
+    """Add one _expand_beam_chunk result to the pools ``sinks[step]``,
+    resolving each parent index against ``items``."""
+    for d in sorted(out):
+        sink = sinks[d]
+        for s in sorted(out[d], reverse=True):
+            for i, new in out[d][s]:
+                sink.add(s, items[i][0], new)
 
 
 def _reps(retained) -> list[tuple[tuple, int]]:
@@ -246,10 +269,9 @@ def _rebuild_pool(mode: str, target: int, retained, cap: int, deltas) -> _Pool:
         parents = retained.get(target - d)
         if not parents:
             continue
-        out = _expand_beam_chunk((mode, _reps(parents), {d: pool.floor}))
-        for s in sorted(out[d], reverse=True):
-            for pts in out[d][s]:
-                pool.add(s, pts)
+        items = _reps(parents)
+        out = _expand_beam_chunk((mode, items, {d: pool.floor}))
+        _collect({d: pool}, items, out)
     return pool
 
 
@@ -318,13 +340,10 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
                 pools.setdefault(t, _Pool(base_cap))
                 floors[d] = pools[t].floor
         if floors:
-            for out in _map_chunks(_expand_beam_chunk, mode, _reps(level),
-                                   floors, cfg.threads):
-                for d in sorted(out):
-                    sink = pools[n + d]
-                    for s in sorted(out[d], reverse=True):
-                        for pts in out[d][s]:
-                            sink.add(s, pts)
+            sinks = {d: pools[n + d] for d in floors}
+            for chunk, out in _map_chunks(_expand_beam_chunk, mode,
+                                          _reps(level), floors, cfg.threads):
+                _collect(sinks, chunk, out)
 
         retained.pop(n - 2, None)
 

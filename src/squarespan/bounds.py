@@ -437,8 +437,9 @@ def ilp_assignment_from_pointset(ps: PointSet, n: int | None = None,
         if not ok:
             violated.append(con.name)
     objective = count_rit(ps)
-    assert objective == sum(x.values()), \
-        "triple tally disagrees with the counting routine"
+    if objective != sum(x.values()):
+        raise RuntimeError(
+            "triple tally disagrees with the counting routine")
     if violated and variant == "base":
         raise RuntimeError(
             "point-set assignment violates the base program: "

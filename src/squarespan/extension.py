@@ -13,9 +13,11 @@ v contains exactly one point pair of the parent, so each (pair,
 third-vertex) hit contributes one rit; a new square with three parent
 vertices is hit by three parent pairs, so those tallies are divided by
 three, while a square with two parent vertices is hit exactly once.  The
-caller names the steps to produce and a score floor for each, so no child
-is built that the caller would throw away.  ``_map_chunks`` runs either
-caller's per-chunk work, serially or in a process pool.
+caller names the steps to produce and a score floor for each.  A child
+comes as its one or two added points, and ``_child_points`` builds it:
+the enumerator builds every child it gets, the beam only those it keys.
+``_map_chunks`` runs either caller's per-chunk work, serially or in a
+process pool.
 
 The breadth-first enumerator expands level n into levels n+1 (and n+2 for
 square modes, while n+2 <= n_max) and deduplicates classes by their
@@ -150,10 +152,12 @@ def _child_points(pts, new_doubled):
 def _children(square: bool, pts, m: int, floors):
     """Children of one parent with figure count m, scored from the sweep.
 
-    Yields (step, score, child points) for 1-extensions (``square``
-    false) or 2-extensions.  ``floors`` maps each step to produce (1,
-    and 2 for squares) to the lowest child score worth building; other
-    steps and lower scores are skipped before a child is built.  Step-1
+    Yields (step, score, new_doubled) for 1-extensions (``square``
+    false) or 2-extensions, where new_doubled is the tuple of the one or
+    two added points in doubled coordinates; ``_child_points(pts,
+    new_doubled)`` builds the child.  ``floors`` maps each step to
+    produce (1, and 2 for squares) to the lowest child score worth
+    yielding; other steps and lower scores are skipped.  Step-1
     children come first, each step in sweep order.
     """
     member = frozenset(pts)
@@ -167,13 +171,13 @@ def _children(square: bool, pts, m: int, floors):
         for v, tally in t1.items():
             s = m + tally // div
             if s >= floor:
-                yield 1, s, _child_points(pts, (v,))[0]
+                yield 1, s, (v,)
     floor = floors.get(2)
     if floor is not None:
-        for (r, q), pairs in t2.items():
-            s = m + t1.get(r, 0) // 3 + t1.get(q, 0) // 3 + pairs
+        for rq, pairs in t2.items():
+            s = m + t1.get(rq[0], 0) // 3 + t1.get(rq[1], 0) // 3 + pairs
             if s >= floor:
-                yield 2, s, _child_points(pts, (r, q))[0]
+                yield 2, s, rq
 
 
 # Parents per task.  Fixed, so that serial and pooled runs see the same
@@ -182,21 +186,21 @@ _CHUNK = 64
 
 
 def _map_chunks(fn, mode: str, items, floors, threads: int):
-    """Yield fn((mode, chunk, floors)) for consecutive _CHUNK-sized
-    chunks of items.
+    """Yield (chunk, fn((mode, chunk, floors))) for consecutive
+    _CHUNK-sized chunks of items.
 
     Results come in chunk order, each as soon as it is ready.  With more
     than one chunk and ``threads`` > 1 the tasks run in a process pool,
     which is shut down when the generator ends or is closed.
     """
-    tasks = [(mode, items[i:i + _CHUNK], floors)
-             for i in range(0, len(items), _CHUNK)]
+    chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
+    tasks = [(mode, chunk, floors) for chunk in chunks]
     if threads <= 1 or len(tasks) <= 1:
-        yield from map(fn, tasks)
+        yield from zip(chunks, map(fn, tasks))
         return
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        yield from pool.map(fn, tasks)
+        yield from zip(chunks, pool.map(fn, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -303,7 +307,8 @@ def _expand_chunk(args):
     out = []
     for key, m in items:
         pts = key_to_pointset(key).points
-        for step, cm, child in _children(square, pts, m, floors):
+        for step, cm, new in _children(square, pts, m, floors):
+            child = _child_points(pts, new)[0]
             if rooted_only and not root_degrees(PointSet.of(child)):
                 continue
             out.append((step, centered_key(child), cm))
@@ -352,8 +357,8 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
             continue
 
         floors = {d: 0 for d in steps if n + d <= n_max}
-        for children in _map_chunks(_expand_chunk, mode, list(bucket.items()),
-                                    floors, threads):
+        for _, children in _map_chunks(_expand_chunk, mode,
+                                       list(bucket.items()), floors, threads):
             for step, key, cm in children:
                 target = n + step
                 if class_filter is not None \

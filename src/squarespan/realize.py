@@ -500,8 +500,8 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
         witness = tuple(gauged.points_at(params))
     else:
         witness = _collinear(oss.order)
-    assert verify_realization(oss, witness), \
-        "witness fails geometric verification"
+    if not verify_realization(oss, witness):
+        raise RuntimeError("witness fails geometric verification")
     return RealizabilityReport(
         realizable=True, dimension=space.dimension, witness=witness,
         degenerate_pairs=(), forced_squares=forced_squares(oss, space))
@@ -525,7 +525,8 @@ def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
                 groups.append(_forms(gauged, _square_terms(quad)))
     params = rationalize(gauged, groups)
     witness = tuple(gauged.points_at(params))
-    assert verify_realization(oss, witness)
+    if not verify_realization(oss, witness):
+        raise RuntimeError("strict witness fails geometric verification")
     return witness
 
 

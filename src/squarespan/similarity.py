@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .geometry import Point, PointSet
@@ -114,25 +115,28 @@ def similar(a: PointSet, b: PointSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def centered_key(pts: tuple[Point, ...]) -> tuple[int, ...]:
+def centered_key(pts: tuple[Point, ...],
+                 marked: Point | None = None) -> tuple[int, ...]:
     """Fast complete similarity invariant of a tuple of distinct points.
 
     Returns a flat int tuple: (common denominator, x1, y1, ..., xn, yn)
-    of the minimal centered image in lowest terms.
+    of the minimal centered image in lowest terms.  With a ``marked``
+    point of the set, equal keys mean that some similarity maps one set
+    onto the other carrying marked point to marked point; the marked
+    point's image is then appended to the encoding.
     """
     n = len(pts)
     if n < 2:
         raise ValueError("centered key needs at least two points")
+    if marked is not None and marked not in pts:
+        raise ValueError("marked point must belong to the set")
     sx = 0
     sy = 0
     for x, y in pts:
         sx += x
         sy += y
     w = [(n * x - sx, n * y - sy) for x, y in pts]
-    g = 0
-    for x, y in w:
-        g = gcd(g, x)
-        g = gcd(g, y)
+    g = gcd(*chain.from_iterable(w))
     if g > 1:
         w = [(x // g, y // g) for x, y in w]
     best_norm = -1
@@ -144,84 +148,34 @@ def centered_key(pts: tuple[Point, ...]) -> tuple[int, ...]:
             cands = [(x, y)]
         elif nm == best_norm:
             cands.append((x, y))
+    if marked is not None:
+        mx = (n * marked[0] - sx) // g
+        my = (n * marked[1] - sy) // g
     best = None
     for ux, uy in cands:
         fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
-        for flip in (False, True):
-            v = [(x, -y) for x, y in fwd] if flip else fwd
-            enc = _encode_image(best_norm, v)
-            if best is None or enc < best:
-                best = enc
+        # The reflection keeps the content, and dividing by it keeps the
+        # order, so the two reflections compare before reducing.
+        c = gcd(best_norm, *chain.from_iterable(fwd))
+        image = sorted(fwd)
+        mirror = sorted([(x, -y) for x, y in fwd])
+        if marked is not None:
+            fm = (mx * ux + my * uy, my * ux - mx * uy)
+            image.append(fm)
+            mirror.append((fm[0], -fm[1]))
+        if mirror < image:
+            image = mirror
+        enc = _encode_image(best_norm, c, image)
+        if best is None or enc < best:
+            best = enc
     return best
 
 
-def centered_key_marked(pts: tuple[Point, ...], marked: Point) -> tuple[int, ...]:
-    """Variant of ``centered_key`` for a point set with one marked point.
-
-    Equal keys iff some similarity maps one set onto the other carrying
-    marked point to marked point.  The marked point's image is appended to
-    the encoding.
-    """
-    n = len(pts)
-    if n < 2:
-        raise ValueError("centered key needs at least two points")
-    if marked not in pts:
-        raise ValueError("marked point must belong to the set")
-    sx = 0
-    sy = 0
-    for x, y in pts:
-        sx += x
-        sy += y
-    mx, my = n * marked[0] - sx, n * marked[1] - sy
-    w = [(n * x - sx, n * y - sy) for x, y in pts]
-    g = 0
-    for x, y in w:
-        g = gcd(g, x)
-        g = gcd(g, y)
-    if g > 1:
-        w = [(x // g, y // g) for x, y in w]
-        mx //= g
-        my //= g
-    best_norm = max(x * x + y * y for x, y in w)
-    best = None
-    for ux, uy in w:
-        if ux * ux + uy * uy != best_norm:
-            continue
-        fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
-        fm = (mx * ux + my * uy, my * ux - mx * uy)
-        for flip in (False, True):
-            if flip:
-                v = [(x, -y) for x, y in fwd]
-                vm = (fm[0], -fm[1])
-            else:
-                v = fwd
-                vm = fm
-            enc = _encode_image(best_norm, v, vm)
-            if best is None or enc < best:
-                best = enc
-    return best
-
-
-def _encode_image(denom: int, v, extra: Point | None = None) -> tuple[int, ...]:
-    g = denom
-    for x, y in v:
-        g = gcd(g, x)
-        g = gcd(g, y)
-    if extra is not None:
-        g = gcd(gcd(g, extra[0]), extra[1])
-    if g > 1:
-        v = [(x // g, y // g) for x, y in v]
-        denom //= g
-        if extra is not None:
-            extra = (extra[0] // g, extra[1] // g)
-    out = [denom]
-    for x, y in sorted(v):
-        out.append(x)
-        out.append(y)
-    if extra is not None:
-        out.append(extra[0])
-        out.append(extra[1])
-    return tuple(out)
+def _encode_image(denom: int, c: int, image) -> tuple[int, ...]:
+    """(denom, x1, y1, ...) of an image's points, all divided by c."""
+    if c > 1:
+        return (denom // c, *(v // c for v in chain.from_iterable(image)))
+    return (denom, *chain.from_iterable(image))
 
 
 def key_to_pointset(key: tuple[int, ...], marked: bool = False):

@@ -1,7 +1,7 @@
 import pytest
 
 import squarespan.beam
-from squarespan.beam import BeamConfig, beam_search
+from squarespan.beam import BeamConfig, _finalize, _Pool, beam_search
 from squarespan.extension import one_extensions, two_extensions
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import centered_key, key_to_pointset
@@ -118,6 +118,33 @@ class TestDeterminismAndThreads:
         monkeypatch.setattr(squarespan.beam, "count_squares", lambda ps: 0)
         with pytest.raises(RuntimeError, match="witness recount"):
             beam_search(BeamConfig(mode="square", n_target=6, beam_width=5))
+
+
+class TestLazyChildren:
+    def test_only_keyed_children_are_built(self, monkeypatch):
+        built = []
+        build = squarespan.beam._child_points
+
+        def counting(pts, new_doubled):
+            built.append(new_doubled)
+            return build(pts, new_doubled)
+
+        monkeypatch.setattr(squarespan.beam, "_child_points", counting)
+        res = beam_search(
+            BeamConfig(mode="square", n_target=14, beam_width=50))
+        # The seed level is keyed without building a child, and a pool
+        # rebuild would key candidates whose count LevelStat drops.
+        assert all(stat.rebuilds == 0 for stat in res.levels)
+        assert len(built) == sum(stat.keyed for stat in res.levels[1:])
+        assert len(built) < sum(stat.collected for stat in res.levels)
+
+    def test_class_at_two_scores_raises(self):
+        pool = _Pool(100)
+        triangle = ((0, 0), (1, 0), (0, 1))
+        pool.add(3, triangle, ((2, 2),))  # completes the unit square
+        pool.add(2, triangle, ((2, 2),))
+        with pytest.raises(RuntimeError, match="same class at two scores"):
+            _finalize(pool, 5)
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import squarespan.bounds
 from squarespan.bounds import (
     ILP_VARIANTS,
     a_n_6_4,
@@ -247,6 +248,13 @@ class TestIlpAssignment:
         tight = ilp_assignment_from_pointset(ps, variant="mod8")
         assert not tight.feasible
         assert any(name.startswith("low_5_") for name in tight.violated)
+
+    def test_tally_disagreeing_with_count_raises(self, monkeypatch):
+        monkeypatch.setattr(squarespan.bounds, "count_rit",
+                            lambda ps: count_rit(ps) + 1)
+        ps = PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
+        with pytest.raises(RuntimeError, match="triple tally"):
+            ilp_assignment_from_pointset(ps)
 
     def test_variant_requires_matching_n(self):
         ps = PointSet.of([(i, 0) for i in range(5)])

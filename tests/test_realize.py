@@ -13,6 +13,7 @@ from configs import (
     THREE_SQUARES_9_POINTS,
     TWO_SQUARES_7,
 )
+import squarespan.realize
 from squarespan.geometry import PointSet, count_squares
 from squarespan.realize import (
     OrientedSquareSet,
@@ -237,6 +238,18 @@ class TestWitnesses:
     def test_strict_witness_requires_realizability(self):
         with pytest.raises(ValueError):
             strict_witness(FIVE_SQUARES_10)
+
+    def test_unverified_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(squarespan.realize, "verify_realization",
+                            lambda oss, points: False)
+        with pytest.raises(RuntimeError, match="geometric verification"):
+            is_realizable(TWO_SQUARES_7)
+
+    def test_unverified_strict_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(squarespan.realize, "verify_realization",
+                            lambda oss, points: False)
+        with pytest.raises(RuntimeError, match="geometric verification"):
+            strict_witness(TWO_SQUARES_7)
 
 
 class TestRationalize:

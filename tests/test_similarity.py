@@ -8,7 +8,6 @@ from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     canonical_key,
     centered_key,
-    centered_key_marked,
     key_to_pointset,
     normalize_to_grid,
     similar,
@@ -93,19 +92,19 @@ class TestCenteredKey:
         assert count_rit(rebuilt) == count_rit(ps)
 
     def test_marked_key_symmetry(self):
-        keys = {centered_key_marked(UNIT_SQUARE.points, p)
+        keys = {centered_key(UNIT_SQUARE.points, p)
                 for p in UNIT_SQUARE.points}
         assert len(keys) == 1  # all four vertices are equivalent
 
     def test_marked_key_asymmetry(self):
         ell = PointSet.of([(0, 0), (1, 0), (2, 0), (0, 1)])
-        keys = {centered_key_marked(ell.points, p) for p in ell.points}
+        keys = {centered_key(ell.points, p) for p in ell.points}
         assert len(keys) == 4  # no two points play the same role
 
     def test_marked_round_trip(self):
         ell = PointSet.of([(0, 0), (1, 0), (2, 0), (0, 1)])
         for p in ell.points:
-            key = centered_key_marked(ell.points, p)
+            key = centered_key(ell.points, p)
             rebuilt, mark = key_to_pointset(key, marked=True)
             assert similar(rebuilt, ell)
             assert mark in rebuilt
