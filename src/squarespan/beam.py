@@ -58,7 +58,7 @@ class BeamConfig:
 
     mode: str
     n_target: int
-    beam_width: int = 30000
+    beam_width: int = 200
     threads: int = 1
 
     def __post_init__(self):

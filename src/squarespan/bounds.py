@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from squarespan.extension import is_1ext_obtainable
 from squarespan.geometry import PointSet, count_rit, is_rit
 from squarespan.tables import (
     A_N_6_4,
@@ -247,8 +246,21 @@ def square_bound_report(n: int) -> BoundReport:
 # y_{t,T} = 0 for t in {7,8,9} and -11 y_{6,T} + sum x_S >= 0 for
 # #T = 6.  These encode "no reachable restriction beyond 5 (resp. 6)
 # points" and score caps of the reachable 5- (resp. 6-) point parts.
+#
+# One row enumeration, `_rows`, lists the constraints in program order
+# and feeds all three consumers: `ilp_constraints` expands each row
+# into named terms, `ilp_export` streams the rows into LP text, and
+# `ilp_assignment_from_pointset` evaluates each row without terms.  A
+# row's x-sum is a rit count: with cnt[T] the number of rits inside T,
+# it is cnt[T], or cnt[T] - cnt[R] for a chain row.  The assignment's
+# y values come from family (3) read as a rule: a rit is reachable, and
+# T with #T >= 4 is reachable iff some R = T - v is reachable and some
+# rit inside T passes through v.  Label v is bit v - 1 of a subset mask.
 
 ILP_VARIANTS = ("base", "mod8", "mod9")
+
+# zero-row sizes, low-row size and low-row y coefficient of each variant
+_TIGHTENED = {"mod8": ((6, 7, 8), 5, -8), "mod9": ((7, 8, 9), 6, -11)}
 
 
 @dataclass(frozen=True)
@@ -298,85 +310,120 @@ def ilp_variables(n: int):
     return x_keys, y_keys
 
 
+def _subsets(n: int, size: int):
+    """(labels, mask, name tag) of every size-subset of {1..n}, in
+    combinations order."""
+    labels = range(1, n + 1)
+    bits = [1 << (v - 1) for v in labels]
+    tags = [str(v) for v in labels]
+    return zip(itertools.combinations(labels, size),
+               map(sum, itertools.combinations(bits, size)),
+               map("_".join, itertools.combinations(tags, size)))
+
+
+def _rows(n: int, variant: str):
+    """Every constraint of the program, in program order.
+
+    A row is (name, family, labels, mask, missing, coef, sense, rhs):
+    ``labels`` is the subset T and ``mask`` its bitmask, and ``coef``
+    multiplies y_T (0: no y term).  Every family but ``zero`` sums x_S
+    over the triples inside T; a ``chain`` row sums only the triples
+    through ``missing`` and adds -coef y_R for R = T - {missing}.
+    ``missing`` is 0 outside chain rows.
+    """
+    for size in range(4, n):
+        for labels, mask, tag in _subsets(n, size):
+            yield (f"sub_{size}_{tag}", "sub", labels, mask, 0, 0, "<=",
+                   RIT_EXACT[size])
+    for labels, mask, tag in _subsets(n, 4):
+        yield f"ext4_{tag}", "ext4", labels, mask, 0, -3, "<=", 1
+    for size in range(5, n + 1):
+        weight = comb(size - 1, 2)
+        for labels, mask, tag in _subsets(n, size):
+            for missing in labels:
+                yield (f"chain_{size}_{tag}_r{missing}", "chain", labels,
+                       mask, missing, -weight, "<=", weight)
+    if variant in _TIGHTENED:
+        zero_sizes, low_size, low_coef = _TIGHTENED[variant]
+        for size in zero_sizes:
+            for labels, mask, tag in _subsets(n, size):
+                yield f"zero_{size}_{tag}", "zero", labels, mask, 0, 1, "=", 0
+        for labels, mask, tag in _subsets(n, low_size):
+            yield (f"low_{low_size}_{tag}", "low", labels, mask, 0,
+                   low_coef, ">=", 0)
+
+
+def _variable_names(x_keys, y_keys):
+    """Each variable's name, built once: x names under every ordering
+    of their triple, y names under their subset."""
+    x_names = {}
+    for triple in x_keys:
+        name = _x_name(triple)
+        for order in itertools.permutations(triple):
+            x_names[order] = name
+    return x_names, {t: _y_name(t) for t in y_keys}
+
+
+def _row_terms(row, x_names, y_names):
+    """The row's y terms as (coefficient, name) pairs and the names of
+    its x terms, whose coefficients are all 1, in program order."""
+    _, family, labels, _, missing, coef, _, _ = row
+    if family == "chain":
+        rest = tuple(v for v in labels if v != missing)
+        return ([(-coef, y_names[rest]), (coef, y_names[labels])],
+                [x_names[a, b, missing]
+                 for a, b in itertools.combinations(rest, 2)])
+    y_terms = [(coef, y_names[labels])] if coef else []
+    if family == "zero":
+        return y_terms, []
+    return y_terms, [x_names[s] for s in itertools.combinations(labels, 3)]
+
+
 def ilp_constraints(n: int, variant: str = "base") -> list[IlpConstraint]:
     """All constraints of the program, deterministically ordered."""
     _check_ilp_args(n, variant)
-    labels = range(1, n + 1)
+    x_names, y_names = _variable_names(*ilp_variables(n))
     cons = []
-    for size in range(4, n):
-        for t_set in itertools.combinations(labels, size):
-            terms = [(1, _x_name(s))
-                     for s in itertools.combinations(t_set, 3)]
-            cons.append(IlpConstraint(
-                name=f"sub_{size}_" + "_".join(map(str, t_set)),
-                terms=tuple(terms), sense="<=", rhs=RIT_EXACT[size]))
-    for t_set in itertools.combinations(labels, 4):
-        terms = [(-3, _y_name(t_set))]
-        terms += [(1, _x_name(s)) for s in itertools.combinations(t_set, 3)]
+    for row in _rows(n, variant):
+        y_terms, x_vars = _row_terms(row, x_names, y_names)
         cons.append(IlpConstraint(
-            name="ext4_" + "_".join(map(str, t_set)),
-            terms=tuple(terms), sense="<=", rhs=1))
-    for size in range(5, n + 1):
-        weight = comb(size - 1, 2)
-        for t_set in itertools.combinations(labels, size):
-            for missing in t_set:
-                r_set = tuple(v for v in t_set if v != missing)
-                terms = [(weight, _y_name(r_set)), (-weight, _y_name(t_set))]
-                terms += [(1, _x_name(tuple(sorted(s + (missing,)))))
-                          for s in itertools.combinations(r_set, 2)]
-                cons.append(IlpConstraint(
-                    name=f"chain_{size}_" + "_".join(map(str, t_set))
-                         + f"_r{missing}",
-                    terms=tuple(terms), sense="<=", rhs=weight))
-    if variant in ("mod8", "mod9"):
-        zero_sizes = (6, 7, 8) if variant == "mod8" else (7, 8, 9)
-        low_size = 5 if variant == "mod8" else 6
-        low_coef = -8 if variant == "mod8" else -11
-        for size in zero_sizes:
-            for t_set in itertools.combinations(labels, size):
-                cons.append(IlpConstraint(
-                    name=f"zero_{size}_" + "_".join(map(str, t_set)),
-                    terms=((1, _y_name(t_set)),), sense="=", rhs=0))
-        for t_set in itertools.combinations(labels, low_size):
-            terms = [(low_coef, _y_name(t_set))]
-            terms += [(1, _x_name(s))
-                      for s in itertools.combinations(t_set, 3)]
-            cons.append(IlpConstraint(
-                name=f"low_{low_size}_" + "_".join(map(str, t_set)),
-                terms=tuple(terms), sense=">=", rhs=0))
+            name=row[0], terms=tuple(y_terms + [(1, v) for v in x_vars]),
+            sense=row[6], rhs=row[7]))
     return cons
 
 
-def _render_terms(terms) -> str:
+def _render_terms(y_terms, x_vars) -> str:
+    """LP text of sum(coef * y) + sum(x): 'x_1_2_3 + x_1_2_4',
+    '- 3 y_4_1_2_3_4 + x_1_2_3', ..."""
     parts = []
-    for coef, var in terms:
-        if not parts:
-            if coef == 1:
-                parts.append(var)
-            elif coef == -1:
-                parts.append(f"- {var}")
-            elif coef < 0:
-                parts.append(f"- {-coef} {var}")
-            else:
-                parts.append(f"{coef} {var}")
-        else:
-            sign = "+" if coef > 0 else "-"
-            mag = abs(coef)
-            parts.append(f"{sign} {var}" if mag == 1 else f"{sign} {mag} {var}")
+    for coef, var in y_terms:
+        if parts or coef < 0:
+            parts.append("+" if coef > 0 else "-")
+        if coef not in (1, -1):
+            parts.append(str(abs(coef)))
+        parts.append(var)
+    if x_vars:
+        parts.append(("+ " if parts else "") + " + ".join(x_vars))
     return " ".join(parts)
 
 
 def _wrap(prefix: str, body: str, width: int = 78) -> list[str]:
-    words = body.split(" ")
+    """Greedy word wrap of ``prefix`` and ``body`` into lines of at most
+    ``width`` characters (or one word); continuation lines start with a
+    space."""
+    text = f"{prefix} {body}"
     lines = []
-    cur = prefix
-    for word in words:
-        if cur != prefix and len(cur) + 1 + len(word) > width:
-            lines.append(cur)
-            cur = " " + word
-        else:
-            cur = cur + " " + word if cur else word
-    lines.append(cur)
+    # a line runs from pos; start is the space before its first word
+    pos, start = 0, len(prefix)
+    while len(text) - pos > width:
+        cut = text.rfind(" ", start + 1, pos + width + 1)
+        if cut < 0:
+            cut = text.find(" ", start + 1)
+            if cut < 0:
+                break
+        lines.append(text[pos:cut])
+        pos = start = cut
+    lines.append(text[pos:])
     return lines
 
 
@@ -385,20 +432,51 @@ def ilp_export(n: int, variant: str = "base") -> str:
     End), with deterministic variable and constraint naming."""
     _check_ilp_args(n, variant)
     x_keys, y_keys = ilp_variables(n)
+    x_names, y_names = _variable_names(x_keys, y_keys)
     lines = ["Maximize"]
-    objective = _render_terms([(1, _x_name(s)) for s in x_keys])
-    lines.extend(_wrap(" obj:", objective))
+    lines += _wrap(" obj:", _render_terms((), [x_names[s] for s in x_keys]))
     lines.append("Subject To")
-    for con in ilp_constraints(n, variant):
-        body = f"{_render_terms(con.terms)} {con.sense} {con.rhs}"
-        lines.extend(_wrap(f" {con.name}:", body))
+    for row in _rows(n, variant):
+        body = _render_terms(*_row_terms(row, x_names, y_names))
+        lines += _wrap(f" {row[0]}:", f"{body} {row[6]} {row[7]}")
     lines.append("Binary")
-    for s in x_keys:
-        lines.append(f" {_x_name(s)}")
-    for t in y_keys:
-        lines.append(f" {_y_name(t)}")
+    lines += [f" {x_names[s]}" for s in x_keys]
+    lines += [f" {name}" for name in y_names.values()]
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _rit_counts(pts, n: int):
+    """x_S of every triple, and cnt[T], the number of rits inside each
+    label subset T, by one subset-sum pass over the rit triples."""
+    x = {}
+    cnt = [0] * (1 << n)
+    for triple in itertools.combinations(range(1, n + 1), 3):
+        a, b, c = (pts[i - 1] for i in triple)
+        x[triple] = 1 if is_rit(a, b, c) else 0
+        if x[triple]:
+            cnt[sum(1 << (v - 1) for v in triple)] = 1
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                cnt[mask] += cnt[mask ^ bit]
+    return x, cnt
+
+
+def _reachable(cnt, n: int) -> list[int]:
+    """reach[T]: 1 iff T is 1-extension reachable, that is, T is a rit,
+    or T - v is reachable and a rit inside T passes through v, for some
+    v in T (the subsets are visited in increasing mask order)."""
+    bits = [1 << i for i in range(n)]
+    reach = [0] * (1 << n)
+    for mask in range(1 << n):
+        if mask.bit_count() == 3:
+            reach[mask] = cnt[mask]
+        elif any(mask & b and reach[mask ^ b] and cnt[mask] > cnt[mask ^ b]
+                 for b in bits):
+            reach[mask] = 1
+    return reach
 
 
 def ilp_assignment_from_pointset(ps: PointSet, n: int | None = None,
@@ -416,26 +494,24 @@ def ilp_assignment_from_pointset(ps: PointSet, n: int | None = None,
     if len(ps) != n:
         raise ValueError("point count must equal n")
     _check_ilp_args(n, variant)
-    pts = ps.points
-    x = {}
-    for triple in itertools.combinations(range(1, n + 1), 3):
-        a, b, c = (pts[i - 1] for i in triple)
-        x[triple] = 1 if is_rit(a, b, c) else 0
-    y = {}
-    for size in range(4, n + 1):
-        for t_set in itertools.combinations(range(1, n + 1), size):
-            sub = PointSet.of(pts[i - 1] for i in t_set)
-            y[t_set] = 1 if is_1ext_obtainable(sub) else 0
-    values = {_x_name(s): v for s, v in x.items()}
-    values.update({_y_name(t): v for t, v in y.items()})
+    x, cnt = _rit_counts(ps.points, n)
+    reach = _reachable(cnt, n)
+    y = {labels: reach[mask] for size in range(4, n + 1)
+         for labels, mask, _ in _subsets(n, size)}
     violated = []
-    for con in ilp_constraints(n, variant):
-        total = sum(coef * values[var] for coef, var in con.terms)
-        ok = (total <= con.rhs if con.sense == "<="
-              else total >= con.rhs if con.sense == ">="
-              else total == con.rhs)
+    for name, family, _, mask, missing, coef, sense, rhs in _rows(n, variant):
+        if family == "chain":
+            rest = mask ^ (1 << (missing - 1))
+            total = (coef * (reach[mask] - reach[rest])
+                     + cnt[mask] - cnt[rest])
+        else:
+            total = coef * reach[mask] + (cnt[mask] if family != "zero"
+                                          else 0)
+        ok = (total <= rhs if sense == "<="
+              else total >= rhs if sense == ">="
+              else total == rhs)
         if not ok:
-            violated.append(con.name)
+            violated.append(name)
     objective = count_rit(ps)
     if objective != sum(x.values()):
         raise RuntimeError(

@@ -28,6 +28,7 @@ from squarespan.bounds import (
 )
 from squarespan.corpus import (
     CorpusParseError,
+    grid_points,
     load_default_corpus,
     parse_corpus,
     render_corpus,
@@ -71,9 +72,7 @@ def _parse_points(text: str) -> PointSet:
     if not lines:
         raise ValueError("empty input")
     if all(set(ln) <= {"x", "."} for ln in lines):
-        pts = [(col, -row)
-               for row, ln in enumerate(lines)
-               for col, ch in enumerate(ln) if ch == "x"]
+        pts = grid_points(lines)
         if not pts:
             raise ValueError("grid contains no 'x' cells")
         return PointSet.of(pts)
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=BEAM_MODES, required=True)
     sub.add_argument("--n", type=int, required=True,
                      help="largest point count to reach")
-    sub.add_argument("--width", type=int, default=30000)
+    sub.add_argument("--width", type=int, default=200)
     sub.add_argument("--threads", type=int, default=_default_threads())
     sub.add_argument("--no-witnesses", action="store_true",
                      help="omit witness grids from the output")

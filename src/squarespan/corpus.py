@@ -42,6 +42,12 @@ from squarespan.similarity import centered_key
 FAMILIES = ("rit", "mixed", "square", "hamming-free", "axis-parallel")
 
 
+def grid_points(rows) -> list[Point]:
+    """The 'x' cells of grid rows as plane points; row r is y = -r."""
+    return [(c, -r) for r, row in enumerate(rows)
+            for c, ch in enumerate(row) if ch == "x"]
+
+
 class CorpusParseError(ValueError):
     """Malformed corpus text; carries the offending 1-based line number."""
 
@@ -62,8 +68,7 @@ class CorpusRecord:
 
     def points(self) -> list[Point]:
         """Grid cells as plane points; row r of the listing is y = -r."""
-        return [(c, -r) for r, row in enumerate(self.grid)
-                for c, ch in enumerate(row) if ch == "x"]
+        return grid_points(self.grid)
 
     def point_set(self) -> PointSet:
         return PointSet.of(self.points())

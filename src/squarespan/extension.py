@@ -482,12 +482,13 @@ def decompose_at(ps: PointSet, p: Point) -> Decomposition:
         raise ValueError("point set is not the neighborhood of p")
     parts = tuple(decomposition_at(ps, p))
     for a, b in itertools.combinations(parts, 2):
-        assert a.member_set & b.member_set == {p}
+        if a.member_set & b.member_set != {p}:
+            raise RuntimeError("two parts meet outside the root point")
     sqs = squares_of(ps)
     for sq in sqs:
-        if p in sq:
-            assert any(all(v in part.member_set for v in sq)
-                       for part in parts)
+        if p in sq and not any(all(v in part.member_set for v in sq)
+                               for part in parts):
+            raise RuntimeError("a square through the root spans two parts")
     closed = tuple(
         all(sum(v in part.member_set for v in sq) in (0, 1, 4) for sq in sqs)
         for part in parts)

@@ -180,7 +180,8 @@ def count_squares(ps: PointSet) -> int:
             by = y1 + y2 - x2 + x1
             if (ax >> 1, ay >> 1) in member and (bx >> 1, by >> 1) in member:
                 found += 1
-    assert found % 2 == 0
+    if found & 1:
+        raise RuntimeError("a square was found through one diagonal only")
     return found // 2
 
 
@@ -220,7 +221,8 @@ def count_rit(ps: PointSet) -> int:
                     found += 1
                 if ((ax - 2 * lx) >> 1, (ay - 2 * ly) >> 1) in member:
                     found += 1
-    assert found % 3 == 0
+    if found % 3:
+        raise RuntimeError("a rit was not found through all three pairs")
     return found // 3
 
 
@@ -383,7 +385,8 @@ def neighborhood_graph(ps: PointSet, p: Point):
         vertices.update(rest)
         for a, b in itertools.combinations(rest, 2):
             edge = (a, b) if a < b else (b, a)
-            assert edge not in edges, "edge in two squares through p"
+            if edge in edges:
+                raise RuntimeError("edge in two squares through p")
             edges.add(edge)
     return sorted(vertices), sorted(edges)
 

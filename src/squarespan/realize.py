@@ -291,7 +291,8 @@ def solve_space(oss: OrientedSquareSet) -> SolutionSpace:
     """The unrestricted solution space (homogeneous; constants included)."""
     sys = build_system(oss)
     space = _solve_affine(sys.n_vars, sys.rows, sys.rhs)
-    assert space is not None, "homogeneous system cannot be inconsistent"
+    if space is None:
+        raise RuntimeError("homogeneous system cannot be inconsistent")
     return space
 
 
@@ -445,7 +446,7 @@ def rationalize(space: SolutionSpace, avoid) -> tuple[int, ...]:
             return params
         if dim == 0:
             break
-    raise AssertionError("sweep cannot be exhausted for satisfiable groups")
+    raise RuntimeError("sweep cannot be exhausted for satisfiable groups")
 
 
 def verify_realization(oss: OrientedSquareSet, points) -> bool:

@@ -1,7 +1,18 @@
+import os
+
 import pytest
 
 import acceptance_registry
 from squarespan.corpus import load_default_corpus
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("SQUARESPAN_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow: set SQUARESPAN_SLOW=1 to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

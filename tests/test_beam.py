@@ -5,7 +5,7 @@ from squarespan.beam import BeamConfig, _finalize, _Pool, beam_search
 from squarespan.extension import one_extensions, two_extensions
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import centered_key, key_to_pointset
-from squarespan.tables import RIT_EXACT, SQUARE_EXACT
+from squarespan.tables import RIT_EXACT, RIT_LOWER, SQUARE_EXACT
 
 
 def reference_beam(mode, n_target, width):
@@ -64,6 +64,12 @@ class TestRecordsAtSmallSizes:
             BeamConfig(mode="square", n_target=12, beam_width=200))
         for n in range(4, 13):
             assert res.best_at(n) == SQUARE_EXACT[n], n
+
+    @pytest.mark.slow
+    def test_rit_lower_table_to_fifty(self):
+        res = beam_search(BeamConfig(mode="rit", n_target=50, beam_width=200))
+        for n, value in RIT_LOWER.items():
+            assert res.best_at(n) == value, n
 
 
 class TestWitnesses:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
@@ -23,7 +25,8 @@ from squarespan.bounds import (
     square_bound_report,
     square_upper,
 )
-from squarespan.geometry import PointSet, count_rit
+from squarespan.extension import is_1ext_obtainable
+from squarespan.geometry import PointSet, count_rit, is_rit
 from squarespan.tables import (
     RIT_EXACT,
     RIT_LOWER,
@@ -216,6 +219,85 @@ class TestIlpExport:
     def test_all_variants_exportable(self):
         for variant, n in zip(ILP_VARIANTS, (8, 8, 9)):
             assert ilp_export(n, variant=variant).startswith("Maximize")
+
+
+# sha256 of the LP text; a change to the exported bytes must be deliberate
+EXPORT_SHA256 = {
+    (5, "base"):
+        "ab5c476ce11400960dd45f9ca9e82c6fbbf284dbec2f568bd38c4b613bd80bc5",
+    (8, "base"):
+        "d1f6749c5629b26085056477d6a83b7ac3f868df0fc3adf172022baff9400290",
+    (8, "mod8"):
+        "c8fda6edc26acd6ceaa341746e6bf7316e8d0784215262f94208c6b741e045f3",
+    (9, "base"):
+        "e5e976a233bd1d430827135eb16a43e04fba20298eaf302d338f1bda203695b0",
+    (9, "mod9"):
+        "6fc2db8d2966bbe1cadef3979a4f77a76baf9c5647f54b62748847010abd2cfa",
+    (10, "base"):
+        "cb0dcae544a7af5e68d0411166618528289ee9b06288fa5ede2f25a02d9ee1bb",
+    (12, "base"):
+        "1d6200ff4db14c13e8084bd535ca4f4afd4502f2a426ebbd9d6612f246c9ea6a",
+}
+
+
+@pytest.mark.parametrize("n,variant", sorted(EXPORT_SHA256))
+def test_export_bytes_unchanged(n, variant):
+    text = ilp_export(n, variant)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == EXPORT_SHA256[n, variant]
+
+
+def _violated_term_by_term(a, n, variant):
+    """Oracle: every row of ilp_constraints evaluated term by term on the
+    assignment's x and y; the names of the rows it violates, in order."""
+    values = {"x_" + "_".join(map(str, s)): v for s, v in a.x.items()}
+    values.update({f"y_{len(t)}_" + "_".join(map(str, t)): v
+                   for t, v in a.y.items()})
+    violated = []
+    for con in ilp_constraints(n, variant):
+        total = sum(coef * values[var] for coef, var in con.terms)
+        ok = {"<=": total <= con.rhs, ">=": total >= con.rhs,
+              "=": total == con.rhs}[con.sense]
+        if not ok:
+            violated.append(con.name)
+    return violated
+
+
+def _check_against_oracle(ps, variant="base"):
+    n = len(ps)
+    a = ilp_assignment_from_pointset(ps, variant=variant)
+    pts = ps.points
+    for s, v in a.x.items():
+        assert v == is_rit(*(pts[i - 1] for i in s)), s
+    for t, v in a.y.items():
+        assert v == is_1ext_obtainable(PointSet.of(pts[i - 1] for i in t)), t
+    violated = _violated_term_by_term(a, n, variant)
+    assert a.violated == tuple(violated)
+    assert a.feasible == (not violated)
+    return a
+
+
+class TestIlpAssignmentOracle:
+    def test_corpus_rit_records(self, corpus_records):
+        checked = 0
+        for rec in corpus_records:
+            if rec.family == "rit" and rec.n <= 10:
+                _check_against_oracle(rec.point_set())
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("variant,sizes", [
+        ("base", (4, 5, 6, 7, 8, 9)), ("mod8", (8,)), ("mod9", (9,))])
+    def test_random_sets(self, variant, sizes):
+        rng = random.Random(variant)
+        cells = [(x, y) for x in range(5) for y in range(5)]
+        feasible = set()
+        for n in sizes:
+            for _ in range(24 // len(sizes)):
+                ps = PointSet.of(rng.sample(cells, n))
+                feasible.add(_check_against_oracle(ps, variant).feasible)
+        # the tightened variants reject some sets and accept others
+        assert feasible == ({True} if variant == "base" else {True, False})
 
 
 class TestIlpAssignment:
