@@ -24,11 +24,11 @@ ascending).  Two internal shortcuts never change that set:
   stops once the retention boundary's bucket is complete.
 
 Every best value is certified on the spot by recounting its witness
-with the counting routines of :mod:`squarespan.geometry`.  For a fixed
-configuration the retained classes, best values, witnesses and level
-statistics are all independent of the worker count: parents are
-expanded in fixed-size chunks whose children reach the pools in chunk
-order.
+with the counting routines of :mod:`squarespan.geometry`.  The search
+is serial and deterministic: each level's parents are expanded in
+fixed-size chunks, and within a chunk the children reach the pools by
+step and then by descending score, so the order of arrival, and with it
+any eviction, is fixed by the configuration alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from squarespan.corpus import CorpusRecord, render_grid
-from squarespan.extension import _child_points, _children, _map_chunks
+from squarespan.extension import _CHUNK, _child_points, _children
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     centered_key,
@@ -54,12 +54,11 @@ _SEEDS = {
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Search parameters: mode, target cardinality, width, workers."""
+    """Search parameters: mode, target cardinality, width."""
 
     mode: str
     n_target: int
     beam_width: int = 200
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in BEAM_MODES:
@@ -71,8 +70,6 @@ class BeamConfig:
             raise ValueError(
                 f"n_target must be at least {len(_SEEDS[self.mode])}"
                 f" for mode {self.mode!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -230,31 +227,28 @@ def _finalize(pool: _Pool, width: int):
 # ---------------------------------------------------------------------------
 
 
-def _expand_beam_chunk(args):
+def _expand_beam_chunk(mode: str, items, floors):
     """Children of the given (points, score) parents, unbuilt.
 
     ``floors`` maps a step size (1, and 2 for squares) to the minimal
     child score worth collecting; steps absent from ``floors`` are not
-    produced.  Returns {step: {score: [(i, new_doubled), ...]}}, i being
-    the parent's index in ``items`` and new_doubled the points the child
-    adds to it, so a pooled worker sends back no point sets.
+    produced.  Returns {step: {score: [(parent points, new_doubled),
+    ...]}}, new_doubled being the points the child adds to its parent.
     """
-    mode, items, floors = args
     out: dict[int, dict[int, list[tuple]]] = {d: {} for d in floors}
-    for i, (pts, m) in enumerate(items):
+    for pts, m in items:
         for d, s, new in _children(mode == "square", pts, m, floors):
-            out[d].setdefault(s, []).append((i, new))
+            out[d].setdefault(s, []).append((pts, new))
     return out
 
 
-def _collect(sinks, items, out) -> None:
-    """Add one _expand_beam_chunk result to the pools ``sinks[step]``,
-    resolving each parent index against ``items``."""
+def _collect(sinks, out) -> None:
+    """Add one _expand_beam_chunk result to the pools ``sinks[step]``."""
     for d in sorted(out):
         sink = sinks[d]
         for s in sorted(out[d], reverse=True):
-            for i, new in out[d][s]:
-                sink.add(s, items[i][0], new)
+            for pts, new in out[d][s]:
+                sink.add(s, pts, new)
 
 
 def _reps(retained) -> list[tuple[tuple, int]]:
@@ -269,9 +263,8 @@ def _rebuild_pool(mode: str, target: int, retained, cap: int, deltas) -> _Pool:
         parents = retained.get(target - d)
         if not parents:
             continue
-        items = _reps(parents)
-        out = _expand_beam_chunk((mode, items, {d: pool.floor}))
-        _collect({d: pool}, items, out)
+        _collect({d: pool},
+                 _expand_beam_chunk(mode, _reps(parents), {d: pool.floor}))
     return pool
 
 
@@ -341,9 +334,10 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
                 floors[d] = pools[t].floor
         if floors:
             sinks = {d: pools[n + d] for d in floors}
-            for chunk, out in _map_chunks(_expand_beam_chunk, mode,
-                                          _reps(level), floors, cfg.threads):
-                _collect(sinks, chunk, out)
+            parents = _reps(level)
+            for i in range(0, len(parents), _CHUNK):
+                _collect(sinks, _expand_beam_chunk(
+                    mode, parents[i:i + _CHUNK], floors))
 
         retained.pop(n - 2, None)
 

@@ -142,8 +142,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_beam(args) -> int:
-    cfg = BeamConfig(mode=args.mode, n_target=args.n,
-                     beam_width=args.width, threads=args.threads)
+    cfg = BeamConfig(mode=args.mode, n_target=args.n, beam_width=args.width)
     result = beam_search(cfg)
     for stat in result.levels:
         print(f"level n={stat.n}: collected={stat.collected} "
@@ -221,7 +220,7 @@ def _cmd_corpus_verify(args) -> int:
             records = parse_corpus(handle.read())
     else:
         records = load_default_corpus()
-    report = verify_corpus(records, threads=args.threads)
+    report = verify_corpus(records)
     if args.json:
         print(json.dumps({
             "passed": report.passed,
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True,
                      help="largest point count to reach")
     sub.add_argument("--width", type=int, default=200)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     sub.add_argument("--no-witnesses", action="store_true",
                      help="omit witness grids from the output")
     sub.set_defaults(func=_cmd_beam)
@@ -312,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("corpus-verify", help="verify the record corpus")
     sub.add_argument("--corpus", help="path overriding the shipped corpus")
-    sub.add_argument("--threads", type=int, default=_default_threads())
     sub.set_defaults(func=_cmd_corpus_verify)
 
     sub = subs.add_parser("render", help="render points as grid text")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -300,17 +299,9 @@ _CLASS_TABLES = {
 }
 
 
-def verify_corpus(records, threads: int = 1) -> VerifyReport:
-    """Recompute every record's metric and the per-group class structure.
-
-    ``threads`` > 1 verifies records in a process pool; the report is
-    identical (record order) either way.
-    """
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(_verify_one, records, chunksize=8))
-    else:
-        results = tuple(_verify_one(rec) for rec in records)
+def verify_corpus(records) -> VerifyReport:
+    """Recompute every record's metric and the per-group class structure."""
+    results = tuple(_verify_one(rec) for rec in records)
 
     found = Counter((rec.family, rec.n) for rec in records)
     tallies: list[TallyResult] = []

@@ -16,8 +16,8 @@ three, while a square with two parent vertices is hit exactly once.  The
 caller names the steps to produce and a score floor for each.  A child
 comes as its one or two added points, and ``_child_points`` builds it:
 the enumerator builds every child it gets, the beam only those it keys.
-``_map_chunks`` runs either caller's per-chunk work, serially or in a
-process pool.
+The enumerator's per-chunk work runs through ``_map_chunks``, serially
+or in a process pool.
 
 The breadth-first enumerator expands level n into levels n+1 (and n+2 for
 square modes, while n+2 <= n_max) and deduplicates classes by their
@@ -181,26 +181,27 @@ def _children(square: bool, pts, m: int, floors):
 
 
 # Parents per task.  Fixed, so that serial and pooled runs see the same
-# chunks in the same order and give the same results.
+# chunks in the same order and give the same results; the beam expands
+# its parents in chunks of the same size.
 _CHUNK = 64
 
 
-def _map_chunks(fn, mode: str, items, floors, threads: int):
-    """Yield (chunk, fn((mode, chunk, floors))) for consecutive
+def _map_chunks(mode: str, items, floors, threads: int):
+    """Yield _expand_chunk((mode, chunk, floors)) for consecutive
     _CHUNK-sized chunks of items.
 
     Results come in chunk order, each as soon as it is ready.  With more
     than one chunk and ``threads`` > 1 the tasks run in a process pool,
     which is shut down when the generator ends or is closed.
     """
-    chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
-    tasks = [(mode, chunk, floors) for chunk in chunks]
-    if threads <= 1 or len(tasks) <= 1:
-        yield from zip(chunks, map(fn, tasks))
+    tasks = [(mode, items[i:i + _CHUNK], floors)
+             for i in range(0, len(items), _CHUNK)]
+    if threads == 1 or len(tasks) <= 1:
+        yield from map(_expand_chunk, tasks)
         return
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        yield from zip(chunks, pool.map(fn, tasks))
+        yield from pool.map(_expand_chunk, tasks)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -328,6 +329,8 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     rooted_mode = mode == "neighborhood-2ext"
     if mode == "rit-1ext":
         seed = PointSet.of([(0, 0), (1, 0), (0, 1)])
@@ -357,8 +360,8 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
             continue
 
         floors = {d: 0 for d in steps if n + d <= n_max}
-        for _, children in _map_chunks(_expand_chunk, mode,
-                                       list(bucket.items()), floors, threads):
+        for children in _map_chunks(mode, list(bucket.items()), floors,
+                                    threads):
             for step, key, cm in children:
                 target = n + step
                 if class_filter is not None \

@@ -7,7 +7,7 @@ Two complete invariants are provided:
   Gaussian rational x + iy, every ordered pair (p, q) and each of
   {identity, conjugation} induces the map z -> (s(z) - s(p)) / (s(q) - s(p));
   the key is the lexicographically minimal sorted image over all
-  2*n*(n-1) candidates, serialized to bytes.  O(n^3) Fraction arithmetic.
+  2*n*(n-1) candidates, serialized to bytes.  O(n^3) integer arithmetic.
 
 * ``centered_key`` -- a fast complete invariant used by the search code.
   Coordinates are centered on the centroid (scaled by n to stay integral)
@@ -68,11 +68,16 @@ def _normalize(pts: tuple[Point, ...]) -> tuple[Point, ...]:
 
 
 def canonical_key(ps: PointSet) -> CanonicalKey:
-    """Reference canonical form under similarity, including reflections."""
+    """Reference canonical form under similarity, including reflections.
+
+    All points of one image share the denominator ``nrm``, so an image is
+    kept as sorted integer numerators; only the minimal one is reduced.
+    """
     pts = ps.points
     if len(pts) < 2:
         raise ValueError("canonical key needs at least two points")
     best = None
+    best_nrm = 0
     for conj in (False, True):
         spts = [(x, -y) for x, y in pts] if conj else list(pts)
         for px, py in spts:
@@ -83,24 +88,27 @@ def canonical_key(ps: PointSet) -> CanonicalKey:
                     continue
                 nrm = dx * dx + dy * dy
                 image = sorted(
-                    (
-                        Fraction((zx - px) * dx + (zy - py) * dy, nrm),
-                        Fraction((zy - py) * dx - (zx - px) * dy, nrm),
-                    )
+                    ((zx - px) * dx + (zy - py) * dy,
+                     (zy - py) * dx - (zx - px) * dy)
                     for zx, zy in spts
                 )
-                if best is None or image < best:
+                if best is None or _image_less(image, nrm, best, best_nrm):
                     best = image
-    return CanonicalKey(_serialize_rational_points(best))
+                    best_nrm = nrm
+    image = [(Fraction(x, best_nrm), Fraction(y, best_nrm)) for x, y in best]
+    return CanonicalKey(";".join(
+        f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
+        for x, y in image).encode("ascii"))
 
 
-def _serialize_rational_points(image) -> bytes:
-    parts = []
-    for x, y in image:
-        parts.append(
-            f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
-        )
-    return ";".join(parts).encode("ascii")
+def _image_less(a, a_nrm: int, b, b_nrm: int) -> bool:
+    """Whether image a / a_nrm sorts before image b / b_nrm."""
+    for (ax, ay), (bx, by) in zip(a, b):
+        if ax * b_nrm != bx * a_nrm:
+            return ax * b_nrm < bx * a_nrm
+        if ay * b_nrm != by * a_nrm:
+            return ay * b_nrm < by * a_nrm
+    return False
 
 
 def similar(a: PointSet, b: PointSet) -> bool:

@@ -32,7 +32,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Count the process pools the extension and beam code start."""
+    """Count the process pools the extension code starts."""
     from concurrent.futures import ProcessPoolExecutor
 
     import squarespan.extension

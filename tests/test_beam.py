@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 import squarespan.beam
@@ -5,7 +7,12 @@ from squarespan.beam import BeamConfig, _finalize, _Pool, beam_search
 from squarespan.extension import one_extensions, two_extensions
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import centered_key, key_to_pointset
-from squarespan.tables import RIT_EXACT, RIT_LOWER, SQUARE_EXACT
+from squarespan.tables import (
+    RIT_EXACT,
+    RIT_LOWER,
+    SQUARE_EXACT,
+    SQUARE_LOWER,
+)
 
 
 def reference_beam(mode, n_target, width):
@@ -14,7 +21,7 @@ def reference_beam(mode, n_target, width):
     Children are generated by the single-step extension functions and
     rescored from scratch; retention keeps the ``width`` best classes by
     (score desc, class key asc).  Serves as an oracle for the incremental
-    pooled implementation.
+    implementation.
     """
     if mode == "rit":
         seed, start = PointSet.of([(0, 0), (1, 0), (0, 1)]), 3
@@ -71,6 +78,13 @@ class TestRecordsAtSmallSizes:
         for n, value in RIT_LOWER.items():
             assert res.best_at(n) == value, n
 
+    @pytest.mark.slow
+    def test_square_lower_table_to_hundred(self):
+        res = beam_search(
+            BeamConfig(mode="square", n_target=100, beam_width=200))
+        for n, value in SQUARE_LOWER.items():
+            assert res.best_at(n) == value, n
+
 
 class TestWitnesses:
     def test_witness_scores_recount(self):
@@ -95,30 +109,64 @@ class TestWitnesses:
             assert count_rit(rec.point_set()) == rec.expected
 
 
+# (n, collected, keyed, distinct, retained, best, rebuilds) of square
+# width 200 up to n=17, the first level whose pool is rebuilt.  The order
+# in which candidates reach a pool decides eviction and so these counts.
+SQUARE_17_LEVELS = [
+    (4, 1, 1, 1, 1, 1, 0),
+    (5, 0, 0, 0, 0, 0, 0),
+    (6, 12, 12, 2, 2, 2, 0),
+    (7, 5, 5, 2, 2, 3, 0),
+    (8, 56, 56, 17, 17, 4, 0),
+    (9, 157, 157, 36, 36, 6, 0),
+    (10, 1056, 1056, 420, 200, 7, 0),
+    (11, 3701, 3701, 1522, 200, 8, 0),
+    (12, 18358, 3681, 571, 200, 11, 0),
+    (13, 20606, 3578, 541, 200, 13, 0),
+    (14, 23462, 3009, 455, 200, 15, 0),
+    (15, 27581, 3688, 617, 200, 17, 0),
+    (16, 30850, 2838, 316, 200, 20, 0),
+    (17, 37046, 4381, 707, 200, 22, 1),
+]
+
+SQUARE_17_TSV = """\
+n\tbest\twitness
+4\t1\tbeam-square-w200-n4
+5\t1\tbeam-square-w200-n4
+6\t2\tbeam-square-w200-n6
+7\t3\tbeam-square-w200-n7
+8\t4\tbeam-square-w200-n8
+9\t6\tbeam-square-w200-n9
+10\t7\tbeam-square-w200-n10
+11\t8\tbeam-square-w200-n11
+12\t11\tbeam-square-w200-n12
+13\t13\tbeam-square-w200-n13
+14\t15\tbeam-square-w200-n14
+15\t17\tbeam-square-w200-n15
+16\t20\tbeam-square-w200-n16
+17\t22\tbeam-square-w200-n17
+"""
+
+SQUARE_17_WITNESS = (
+    (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0),
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2))
+
+
+class TestPinnedSquareRun:
+    def test_levels_table_and_witness(self):
+        res = beam_search(
+            BeamConfig(mode="square", n_target=17, beam_width=200))
+        assert [astuple(stat) for stat in res.levels] == SQUARE_17_LEVELS
+        assert res.to_tsv() == SQUARE_17_TSV
+        assert res.witnesses[17].points == SQUARE_17_WITNESS
+
+
 class TestDeterminismAndThreads:
     def test_repeat_runs_identical(self):
         cfg = BeamConfig(mode="square", n_target=11, beam_width=40)
         a, b = beam_search(cfg), beam_search(cfg)
         assert a.best == b.best
         assert a.witnesses == b.witnesses
-
-    def test_thread_count_does_not_change_results(self):
-        one = beam_search(BeamConfig(mode="rit", n_target=8, beam_width=30))
-        two = beam_search(
-            BeamConfig(mode="rit", n_target=8, beam_width=30, threads=2))
-        assert one.best == two.best
-        assert one.witnesses == two.witnesses
-
-    def test_worker_pool_matches_serial(self, pool_starts):
-        # Width 70 retains more than one 64-parent chunk from level 6 on.
-        one = beam_search(BeamConfig(mode="rit", n_target=8, beam_width=70))
-        assert not pool_starts
-        two = beam_search(
-            BeamConfig(mode="rit", n_target=8, beam_width=70, threads=2))
-        assert pool_starts
-        assert one.best == two.best
-        assert one.witnesses == two.witnesses
-        assert one.levels == two.levels
 
     def test_witness_recount_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(squarespan.beam, "count_squares", lambda ps: 0)
@@ -165,10 +213,6 @@ class TestConfigValidation:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             BeamConfig(mode="square", n_target=3)
-
-    def test_bad_threads(self):
-        with pytest.raises(ValueError):
-            BeamConfig(mode="rit", n_target=8, threads=0)
 
     def test_tsv_layout(self):
         res = beam_search(BeamConfig(mode="rit", n_target=5, beam_width=5))

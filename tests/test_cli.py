@@ -75,6 +75,13 @@ class TestEnumAndBeam:
         cells = {(e["n"], e["m"]): e["classes"] for e in data["entries"]}
         assert cells == {(4, 1): 1, (6, 2): 2}
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_enum_thread_count_below_one_is_usage_error(self, threads,
+                                                        capsys):
+        assert run(["enum", "--mode", "rit-1ext", "--n-max", "5",
+                    "--threads", threads]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+
     def test_beam_header_and_witnesses(self, capsys):
         assert run(["beam", "--mode", "rit", "--n", "6",
                     "--width", "10"]) == 0

@@ -162,10 +162,3 @@ class TestVerificationFailures:
         assert not report.passed
         assert any({c.id_a, c.id_b} == {"rit-8-1", "rit-8-x"}
                    for c in report.collisions)
-
-    def test_threaded_verification_agrees(self, corpus_records):
-        seq = verify_corpus(corpus_records)
-        par = verify_corpus(corpus_records, threads=2)
-        assert seq.passed and par.passed
-        assert [r.passed for r in seq.records] == \
-            [r.passed for r in par.records]

@@ -92,6 +92,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_classes("triangles", 5)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            enumerate_classes("rit-1ext", 5, threads=threads)
+
     def test_level_budget_stops_cleanly(self):
         table = enumerate_classes("rit-1ext", 6, max_level_classes=4)
         assert not table.complete
