@@ -51,9 +51,10 @@ from squarespan.similarity import canonical_key, normalize_to_grid
 def _default_threads() -> int:
     value = os.environ.get("SQUARESPAN_THREADS", "1")
     try:
-        return max(1, int(value))
+        return int(value)
     except ValueError:
-        return 1
+        raise ValueError(
+            f"SQUARESPAN_THREADS={value!r} is not an integer") from None
 
 
 def _read_text(args) -> str:
@@ -125,7 +126,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    table = enumerate_classes(args.mode, args.n_max, threads=args.threads)
+    threads = _default_threads() if args.threads is None else args.threads
+    table = enumerate_classes(args.mode, args.n_max, threads=threads)
     if args.json:
         entries = [{"n": n, "m": m, "classes": c}
                    for (n, m), c in sorted(table.entries.items())]
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("enum", help="isomorph-free extension enumeration")
     sub.add_argument("--mode", choices=ENUM_MODES, required=True)
     sub.add_argument("--n-max", type=int, required=True)
-    sub.add_argument("--threads", type=int, default=_default_threads())
+    sub.add_argument("--threads", type=int,
+                     help="worker processes (default $SQUARESPAN_THREADS, 1)")
     sub.set_defaults(func=_cmd_enum)
 
     sub = subs.add_parser("beam", help="beam-search lower bounds")

@@ -9,12 +9,15 @@ number z_j = x_j + i*y_j, each prescribed square (a, b, c, d) imposes
 
 and the set is realizable exactly when the resulting linear system has a
 solution with pairwise distinct z_j.  Everything here is exact: systems
-are solved by fraction Gaussian elimination, distinctness and forced
-squares are decided by testing whether difference forms vanish
-identically on the solution space, and witnesses are found by a
-deterministic sweep of integer parameter vectors (ordered by coordinate
-sum, then lexicographically), which terminates because finitely many
-proper affine subspaces cannot cover the sweep.
+are solved by fraction Gaussian elimination, and each label's point is
+written once as two affine forms on the solution space.  Labels coincide
+in every solution exactly when their forms are equal, and a quadruple is
+forced when the forms of c and d equal the completion of the side a, b
+to a counterclockwise square, which a dict from forms to labels finds
+for all pairs in O(n^2) lookups.  Witnesses are the first integer point
+of the moment curve (B, B^2, ..., B^dim) where no avoided form group
+vanishes; a form that is not identically zero vanishes at no more than
+dim values of B, so the search ends by B = dim * (number of groups).
 
 The unrestricted solution space always contains the constant solutions,
 so its dimension is at least 2; a set whose space consists of constants
@@ -328,7 +331,7 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None) -> SolutionSpace:
 
 
 # ---------------------------------------------------------------------------
-# Vanishing forms, forced squares, realizability.
+# Label points as forms: degenerate pairs, forced squares, realizability.
 # ---------------------------------------------------------------------------
 
 
@@ -340,36 +343,34 @@ def _form_on_space(space: SolutionSpace, terms) -> tuple:
     return const, lin
 
 
-def _vanishes(form) -> bool:
-    const, lin = form
-    return not const and not any(lin)
+def _sub(f, g):
+    return f[0] - g[0], tuple(p - q for p, q in zip(f[1], g[1]))
 
 
-def _vanish_on(space: SolutionSpace, term_lists) -> bool:
-    """True iff every form vanishes identically; stops at the first that
-    does not."""
-    return all(_vanishes(_form_on_space(space, t)) for t in term_lists)
+def _add(f, g):
+    return f[0] + g[0], tuple(p + q for p, q in zip(f[1], g[1]))
 
 
-def _pair_terms(j: int, k: int):
-    """The two real difference forms of z_j - z_k."""
-    return tuple(((2 * (j - 1) + off, 1), (2 * (k - 1) + off, -1))
-                 for off in (0, 1))
+def _point_table(space: SolutionSpace) -> list:
+    """Each label's point as its two coordinate forms: entry j - 1 holds
+    (x_j, y_j).  Two labels coincide in every solution exactly when
+    their entries are equal."""
+    return [(_form_on_space(space, ((2 * j, 1),)),
+             _form_on_space(space, ((2 * j + 1, 1),)))
+            for j in range(len(space.particular) // 2)]
 
 
-def _square_terms(quad: Quad):
-    """The four real forms whose joint vanishing makes ``quad`` a square."""
-    a, b, c, d = quad
-    return (
-        ((2 * (a - 1), 1), (2 * (b - 1), -1), (2 * (c - 1), 1),
-         (2 * (d - 1), -1)),
-        ((2 * (a - 1) + 1, 1), (2 * (b - 1) + 1, -1), (2 * (c - 1) + 1, 1),
-         (2 * (d - 1) + 1, -1)),
-        ((2 * (d - 1), 1), (2 * (a - 1), -1), (2 * (b - 1) + 1, 1),
-         (2 * (a - 1) + 1, -1)),
-        ((2 * (d - 1) + 1, 1), (2 * (a - 1) + 1, -1), (2 * (b - 1), -1),
-         (2 * (a - 1), 1)),
-    )
+def _completion(table, a: int, b: int):
+    """The points (z_c, z_d) that make (a, b, c, d) a counterclockwise
+    square: z_d = z_a + i(z_b - z_a) and z_c = z_b + z_d - z_a."""
+    (xa, ya), (xb, yb) = table[a - 1], table[b - 1]
+    wx, wy = _sub(xb, xa), _sub(yb, ya)
+    return (_sub(xb, wy), _add(yb, wx)), (_sub(xa, wy), _add(ya, wx))
+
+
+def _offsets(table, j: int, z) -> list:
+    """The two forms of z_j - z."""
+    return [_sub(table[j - 1][0], z[0]), _sub(table[j - 1][1], z[1])]
 
 
 def degenerate_pairs(oss: OrientedSquareSet,
@@ -377,76 +378,70 @@ def degenerate_pairs(oss: OrientedSquareSet,
     """Label pairs whose points coincide in every solution."""
     if space is None:
         space = solve_space(oss)
+    table = _point_table(space)
     return tuple(
         (j, k) for j, k in itertools.combinations(range(1, oss.order + 1), 2)
-        if _vanish_on(space, _pair_terms(j, k)))
+        if table[j - 1] == table[k - 1])
 
 
 def forced_squares(oss: OrientedSquareSet,
                    space: SolutionSpace | None = None) -> tuple[Quad, ...]:
     """Quadruples outside the set that every solution spans as squares.
 
-    All six oriented 4-cycles of every label 4-subset are tested; a
-    quadruple is forced when its four defining forms vanish identically
-    on the solution space.  The scan is meant for realizable systems: on
-    a non-realizable one, coinciding labels make many quadruples vanish
-    vacuously, and :func:`is_realizable` reports no forced squares.
+    Each label pair a < b is completed to the square (a, b, c, d) it
+    spans, and the labels c, d whose forms equal the completion are
+    looked up: O(n^2) lookups, not a test of every oriented 4-cycle.  A
+    hit counts when a is its smallest label, so each cycle is found
+    once; the result is sorted by label set, then cycle.  The scan is
+    meant for realizable systems: on a non-realizable one, coinciding
+    labels make many quadruples vanish vacuously, and
+    :func:`is_realizable` reports no forced squares.
     """
     if space is None:
         space = solve_space(oss)
+    table = _point_table(space)
+    labels: dict = {}
+    for j, point in enumerate(table, start=1):
+        labels.setdefault(point, []).append(j)
     present = set(oss.squares)
     out = []
-    for sub in itertools.combinations(range(1, oss.order + 1), 4):
-        a = sub[0]
-        for perm in itertools.permutations(sub[1:]):
-            quad = (a,) + perm
-            if quad not in present and _vanish_on(space, _square_terms(quad)):
-                out.append(quad)
+    for a, b in itertools.combinations(range(1, oss.order + 1), 2):
+        zc, zd = _completion(table, a, b)
+        for c in labels.get(zc, ()):
+            for d in labels.get(zd, ()):
+                quad = (a, b, c, d)
+                if (a < c and a < d and len({b, c, d}) == 3
+                        and quad not in present):
+                    out.append(quad)
+    out.sort(key=lambda q: (sorted(q), q))
     return tuple(out)
 
 
-def _sweep_params(dim: int):
-    """All nonnegative integer parameter tuples, ordered by coordinate
-    sum and lexicographically within equal sums."""
-    if dim == 0:
-        yield ()
-        return
-    total = 0
-    while True:
-        for head in itertools.product(range(total + 1), repeat=dim - 1):
-            rest = total - sum(head)
-            if rest >= 0:
-                yield head + (rest,)
-        total += 1
-
-
 def rationalize(space: SolutionSpace, avoid) -> tuple[int, ...]:
-    """The first swept parameter vector satisfying every avoid group.
+    """The first parameter vector (B, B**2, ..., B**dim), for
+    B = 0, 1, 2, ..., that satisfies every avoid group.
 
     ``avoid`` is a list of groups, each group a list of affine forms
     (constant, parameter coefficients); a parameter vector satisfies a
     group when at least one of its forms is nonzero there.  Every group
-    must contain a form that is not identically zero, as each group's
-    failure locus is then a proper affine subspace and the sweep
-    terminates.
+    must contain a form that is not identically zero.  On this moment
+    curve such a form is a nonzero polynomial in B of degree at most
+    dim, so it vanishes at no more than dim values of B; hence some
+    B <= dim * len(avoid) satisfies every group.
     """
     for group in avoid:
-        if all(_vanishes(f) for f in group):
+        if not any(const or any(lin) for const, lin in group):
             raise ValueError(
                 "an avoid group vanishes identically on the space")
     dim = space.dimension
-    for params in _sweep_params(dim):
-        ok = True
-        for group in avoid:
-            if not any(const + sum(c * t for c, t in zip(lin, params))
-                       for const, lin in group):
-                ok = False
-                break
-        if ok:
+    for base in range(dim * len(avoid) + 1):
+        params = tuple(base ** k for k in range(1, dim + 1))
+        if all(any(const + sum(c * t for c, t in zip(lin, params))
+                   for const, lin in group)
+               for group in avoid):
             return params
-        if dim == 0:
-            break
-    raise RuntimeError("sweep cannot be exhausted for satisfiable groups")
+    raise RuntimeError("a nonzero form vanishes at more than dim points "
+                       "of the moment curve")
 
 
 def verify_realization(oss: OrientedSquareSet, points) -> bool:
@@ -465,28 +460,25 @@ def verify_realization(oss: OrientedSquareSet, points) -> bool:
     return True
 
 
-def _forms(space: SolutionSpace, term_lists) -> list:
-    return [_form_on_space(space, t) for t in term_lists]
-
-
 def _collinear(order: int) -> tuple[RatPoint, ...]:
     """Distinct points on a line: a realization spanning no squares."""
     return tuple((Fraction(i), Fraction(0)) for i in range(order))
 
 
-def _distinctness_groups(space: SolutionSpace, order: int):
-    return [_forms(space, _pair_terms(j, k))
-            for j, k in itertools.combinations(range(1, order + 1), 2)]
+def _distinctness_groups(table) -> list:
+    return [_offsets(table, j, table[k - 1])
+            for j, k in itertools.combinations(range(1, len(table) + 1), 2)]
 
 
 def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
     """Decide realizability; construct a rational witness when positive.
 
-    The verdict tests, pair by pair, whether the difference z_j - z_k
-    vanishes identically on the unrestricted solution space; the set is
-    realizable exactly when no pair does.  The witness is swept on the
-    gauged space and verified geometrically before being reported; a
-    system without squares gets distinct points on a line instead.
+    The set is realizable exactly when no two labels share their point
+    forms on the unrestricted solution space.  The witness is the first
+    point of the moment curve on the gauged space (see
+    :func:`rationalize`) where all labels are distinct, and it is
+    verified geometrically before being reported; a system without
+    squares gets distinct points on a line instead.
     """
     space = solve_space(oss)
     degenerate = degenerate_pairs(oss, space)
@@ -497,7 +489,7 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
     if oss.squares:
         gauged = solve_gauged(oss)
         params = rationalize(
-            gauged, _distinctness_groups(gauged, oss.order))
+            gauged, _distinctness_groups(_point_table(gauged)))
         witness = tuple(gauged.points_at(params))
     else:
         witness = _collinear(oss.order)
@@ -510,7 +502,8 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
 
 def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
     """A realization spanning no squares beyond the set and its forced
-    squares: every other oriented 4-cycle is explicitly avoided."""
+    squares: every other oriented 4-cycle (a, b, c, d), a smallest, is
+    avoided by keeping z_c or z_d off the completion of (a, b)."""
     space = solve_space(oss)
     if degenerate_pairs(oss, space):
         raise ValueError("oriented square set is not realizable")
@@ -518,12 +511,14 @@ def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
         return _collinear(oss.order)
     allowed = set(oss.squares) | set(forced_squares(oss, space))
     gauged = solve_gauged(oss)
-    groups = _distinctness_groups(gauged, oss.order)
-    for sub in itertools.combinations(range(1, oss.order + 1), 4):
-        for perm in itertools.permutations(sub[1:]):
-            quad = (sub[0],) + perm
-            if quad not in allowed:
-                groups.append(_forms(gauged, _square_terms(quad)))
+    table = _point_table(gauged)
+    groups = _distinctness_groups(table)
+    for a, b in itertools.combinations(range(1, oss.order + 1), 2):
+        zc, zd = _completion(table, a, b)
+        rest = [v for v in range(a + 1, oss.order + 1) if v != b]
+        for c, d in itertools.permutations(rest, 2):
+            if (a, b, c, d) not in allowed:
+                groups.append(_offsets(table, c, zc) + _offsets(table, d, zd))
     params = rationalize(gauged, groups)
     witness = tuple(gauged.points_at(params))
     if not verify_realization(oss, witness):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import Point, PointSet
 
@@ -219,19 +219,18 @@ def similarity_image(
     """Image of the set under z -> a*s(z) + b (s = conjugation if requested),
     rescaled by the common denominator so the result is again integral.
     ``a`` must be nonzero; the rescaling is itself a similarity, so the
-    image is similar to the input."""
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    if ax == 0 and ay == 0:
+    image is similar to the input.
+
+    With D the lcm of the denominators of a and b, D times each image
+    coordinate is an integer; dividing those integers by their gcd with
+    D clears exactly the image's common denominator.
+    """
+    coeffs = [Fraction(c) for c in (*a, *b)]
+    if not coeffs[0] and not coeffs[1]:
         raise ValueError("similarity scale factor must be nonzero")
-    out = []
-    denom = 1
-    for x, y in ps.points:
-        if conjugate:
-            y = -y
-        ix = ax * x - ay * y + bx
-        iy = ax * y + ay * x + by
-        out.append((ix, iy))
-        denom = denom * ix.denominator // gcd(denom, ix.denominator)
-        denom = denom * iy.denominator // gcd(denom, iy.denominator)
-    return PointSet.of((int(ix * denom), int(iy * denom)) for ix, iy in out)
+    denom = lcm(*(c.denominator for c in coeffs))
+    ax, ay, bx, by = (c.numerator * (denom // c.denominator) for c in coeffs)
+    pts = [(x, -y) for x, y in ps.points] if conjugate else ps.points
+    out = [(ax * x - ay * y + bx, ax * y + ay * x + by) for x, y in pts]
+    g = gcd(denom, *chain.from_iterable(out))
+    return PointSet.of((ix // g, iy // g) for ix, iy in out)

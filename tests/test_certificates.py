@@ -1,4 +1,8 @@
-"""Certificate checks must survive ``python -O``, which strips asserts."""
+"""Certificate checks must survive ``python -O``, which strips asserts.
+
+Every function and method of the package is scanned, so a check cannot
+slip in as an ``assert`` anywhere under ``src/squarespan``.
+"""
 
 import ast
 from pathlib import Path
@@ -7,27 +11,23 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "squarespan"
 
-# (module, function) pairs whose checks certify reported output.
-CERTIFYING = [
-    ("beam", "_finalize"),
-    ("realize", "is_realizable"),
-    ("realize", "strict_witness"),
-    ("bounds", "ilp_assignment_from_pointset"),
-    ("geometry", "count_squares"),
-    ("geometry", "count_rit"),
-    ("geometry", "neighborhood_graph"),
-    ("extension", "decompose_at"),
-    ("realize", "solve_space"),
-    ("realize", "rationalize"),
-]
+
+def _functions():
+    """(module, qualified name, node) of every top-level function and
+    every method; nested functions are scanned with their parent."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((path.stem, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                out.extend((path.stem, f"{node.name}.{f.name}", f)
+                           for f in node.body
+                           if isinstance(f, ast.FunctionDef))
+    return out
 
 
-def _function(module: str, name: str) -> ast.FunctionDef:
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    raise LookupError(f"{module}.{name} not found")
+FUNCTIONS = _functions()
 
 
 def _raises_assertion_error(node) -> bool:
@@ -37,9 +37,20 @@ def _raises_assertion_error(node) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-@pytest.mark.parametrize("module,name", CERTIFYING)
-def test_no_assert_in_certificate_check(module, name):
-    asserts = [node.lineno for node in ast.walk(_function(module, name))
-               if isinstance(node, ast.Assert)
-               or _raises_assertion_error(node)]
+def test_scan_reaches_the_certifying_functions():
+    names = {(module, name) for module, name, _ in FUNCTIONS}
+    assert {("beam", "_finalize"), ("realize", "is_realizable"),
+            ("realize", "strict_witness"), ("realize", "rationalize"),
+            ("bounds", "ilp_assignment_from_pointset"),
+            ("geometry", "count_squares"), ("extension", "decompose_at"),
+            ("realize", "OrientedSquareSet.__post_init__")} <= names
+
+
+@pytest.mark.parametrize("module,name,node", [
+    pytest.param(module, name, node, id=f"{module}-{name}")
+    for module, name, node in FUNCTIONS])
+def test_no_assert_in_certificate_check(module, name, node):
+    asserts = [sub.lineno for sub in ast.walk(node)
+               if isinstance(sub, ast.Assert)
+               or _raises_assertion_error(sub)]
     assert not asserts, f"{module}.py:{asserts} asserts in {name}"

@@ -75,12 +75,21 @@ class TestEnumAndBeam:
         cells = {(e["n"], e["m"]): e["classes"] for e in data["entries"]}
         assert cells == {(4, 1): 1, (6, 2): 2}
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_enum_thread_count_below_one_is_usage_error(self, threads,
-                                                        capsys):
-        assert run(["enum", "--mode", "rit-1ext", "--n-max", "5",
-                    "--threads", threads]) == 2
-        assert "threads must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,env,message", [
+        ("0", None, "threads must be at least 1"),
+        ("-3", None, "threads must be at least 1"),
+        (None, "0", "threads must be at least 1"),
+        (None, "two", "SQUARESPAN_THREADS='two' is not an integer"),
+    ], ids=["0", "-3", "env-0", "env-two"])
+    def test_enum_thread_count_below_one_is_usage_error(
+            self, flag, env, message, capsys, monkeypatch):
+        argv = ["enum", "--mode", "rit-1ext", "--n-max", "5"]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("SQUARESPAN_THREADS", env)
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_beam_header_and_witnesses(self, capsys):
         assert run(["beam", "--mode", "rit", "--n", "6",

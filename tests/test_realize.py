@@ -1,5 +1,7 @@
+import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,9 +16,11 @@ from configs import (
     TWO_SQUARES_7,
 )
 import squarespan.realize
+from squarespan.corpus import load_default_corpus
 from squarespan.geometry import PointSet, count_squares
 from squarespan.realize import (
     OrientedSquareSet,
+    _form_on_space,
     build_system,
     degenerate_pairs,
     forced_squares,
@@ -187,6 +191,14 @@ class TestCertificates:
         assert degenerate_pairs(THREE_SQUARES_9) == ()
 
 
+def _cleared(points):
+    scale = 1
+    for x, y in points:
+        for c in (x, y):
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    return PointSet.of((int(x * scale), int(y * scale)) for x, y in points)
+
+
 class TestWitnesses:
     def test_witness_verifies(self):
         report = is_realizable(FOUR_SQUARES_10)
@@ -214,26 +226,11 @@ class TestWitnesses:
         assert not verify_realization(oss, cw)
 
     def test_strict_witness_spans_no_extra_squares(self):
-        pts = strict_witness(FOUR_SQUARES_10)
-        scale = 1
-        for p in pts:
-            for c in p:
-                scale = scale * c.denominator // __import__("math").gcd(
-                    scale, c.denominator)
-        cleared = PointSet.of(
-            (int(x * scale), int(y * scale)) for x, y in pts)
-        assert count_squares(cleared) == 4
+        assert count_squares(_cleared(strict_witness(FOUR_SQUARES_10))) == 4
 
     def test_strict_witness_keeps_forced_squares(self):
-        pts = strict_witness(FORCED_FIFTH_OSS)
-        scale = 1
-        for p in pts:
-            for c in p:
-                scale = scale * c.denominator // __import__("math").gcd(
-                    scale, c.denominator)
-        cleared = PointSet.of(
-            (int(x * scale), int(y * scale)) for x, y in pts)
-        assert count_squares(cleared) == 5  # four prescribed plus one forced
+        # four prescribed plus one forced
+        assert count_squares(_cleared(strict_witness(FORCED_FIFTH_OSS))) == 5
 
     def test_strict_witness_requires_realizability(self):
         with pytest.raises(ValueError):
@@ -253,21 +250,37 @@ class TestWitnesses:
 
 
 class TestRationalize:
+    @staticmethod
+    def satisfied(params, groups):
+        return all(any(const + sum(c * t for c, t in zip(lin, params))
+                       for const, lin in group)
+                   for group in groups)
+
     def test_single_form(self):
         space = solve_gauged(TWO_SQUARES_7)
         dim = space.dimension
         form = (Fraction(0), tuple(
             Fraction(1) if i == 0 else Fraction(0) for i in range(dim)))
-        assert rationalize(space, [[form]]) == (1,) + (0,) * (dim - 1)
+        params = rationalize(space, [[form]])
+        assert params == (1,) * dim  # B = 1 on the moment curve
+        assert self.satisfied(params, [[form]])
 
     def test_vee_groups(self):
         space = solve_gauged(TWO_SQUARES_7)
         z = Fraction(0)
         one = Fraction(1)
-        f1 = (z, (one, z))
-        f2 = (z, (z, one))
-        f3 = (z, (one, -one))
-        assert rationalize(space, [[f1], [f2], [f3]]) == (1, 2)
+        groups = [[(z, (one, z))], [(z, (z, one))], [(z, (one, -one))]]
+        params = rationalize(space, groups)
+        assert params == (2, 4)  # B = 0 and B = 1 each zero a form
+        assert self.satisfied(params, groups)
+
+    def test_bound_is_reached(self):
+        # (B - 2)(B - 3) and B(B - 1) rule out B = 0..3, so the search
+        # ends at B = dim * len(avoid) = 4, the last vector it may try.
+        space = solve_gauged(TWO_SQUARES_7)
+        groups = [[(Fraction(6), (Fraction(-5), Fraction(1)))],
+                  [(Fraction(0), (Fraction(-1), Fraction(1)))]]
+        assert rationalize(space, groups) == (4, 16)
 
     def test_identically_zero_group_rejected(self):
         space = solve_gauged(TWO_SQUARES_7)
@@ -295,3 +308,118 @@ class TestGridEmbedding:
         oss = oss_from_pointset(FORCED_FIFTH_SET)
         emb = grid_embed(oss)
         assert count_squares(emb.points) >= count_squares(FORCED_FIFTH_SET)
+
+
+# ---------------------------------------------------------------------------
+# Reference scans: every pair and every oriented 4-cycle, form by form.
+# ---------------------------------------------------------------------------
+
+
+def _vanish_on(space, term_lists):
+    for terms in term_lists:
+        const, lin = _form_on_space(space, terms)
+        if const or any(lin):
+            return False
+    return True
+
+
+def _pair_terms(j, k):
+    """The two real difference forms of z_j - z_k."""
+    return tuple(((2 * (j - 1) + off, 1), (2 * (k - 1) + off, -1))
+                 for off in (0, 1))
+
+
+def _square_terms(quad):
+    """The four real forms whose joint vanishing makes ``quad`` a square:
+    z_a - z_b + z_c - z_d = 0 and z_d - z_a = i(z_b - z_a)."""
+    a, b, c, d = quad
+    return (
+        ((2 * (a - 1), 1), (2 * (b - 1), -1), (2 * (c - 1), 1),
+         (2 * (d - 1), -1)),
+        ((2 * (a - 1) + 1, 1), (2 * (b - 1) + 1, -1), (2 * (c - 1) + 1, 1),
+         (2 * (d - 1) + 1, -1)),
+        ((2 * (d - 1), 1), (2 * (a - 1), -1), (2 * (b - 1) + 1, 1),
+         (2 * (a - 1) + 1, -1)),
+        ((2 * (d - 1) + 1, 1), (2 * (a - 1) + 1, -1), (2 * (b - 1), -1),
+         (2 * (a - 1), 1)),
+    )
+
+
+def reference_degenerate_pairs(oss, space):
+    return tuple(
+        (j, k) for j, k in itertools.combinations(range(1, oss.order + 1), 2)
+        if _vanish_on(space, _pair_terms(j, k)))
+
+
+def reference_forced_squares(oss, space):
+    present = set(oss.squares)
+    out = []
+    for sub in itertools.combinations(range(1, oss.order + 1), 4):
+        for perm in itertools.permutations(sub[1:]):
+            quad = (sub[0],) + perm
+            if quad not in present and _vanish_on(space, _square_terms(quad)):
+                out.append(quad)
+    return tuple(out)
+
+
+def _oracle_systems():
+    """The worked examples and the maximal sets of the square records with
+    5..11 points, each also without its last square and without its first
+    and last squares."""
+    full = {"two-squares-7": TWO_SQUARES_7,
+            "three-squares-9": THREE_SQUARES_9,
+            "four-squares-10": FOUR_SQUARES_10,
+            "five-squares-10": FIVE_SQUARES_10,
+            "forced-fifth-10": FORCED_FIFTH_OSS}
+    for rec in load_default_corpus():
+        if rec.family == "square" and 5 <= rec.n <= 11:
+            full[rec.id] = oss_from_pointset(rec.point_set())
+    out = {}
+    for name, oss in full.items():
+        sq = oss.squares
+        for tag, kept in (("", sq), ("-last", sq[:-1]), ("-ends", sq[1:-1])):
+            out[name + tag] = OrientedSquareSet(order=oss.order, squares=kept)
+    return out
+
+
+ORACLE_SYSTEMS = _oracle_systems()
+
+
+class TestAgainstReferenceScans:
+    def test_system_set(self):
+        # The set reaches both a non-realizable system and forced squares.
+        systems = ORACLE_SYSTEMS.values()
+        assert len(systems) == 57
+        assert any(degenerate_pairs(oss) for oss in systems)
+        assert sum(1 for oss in systems if forced_squares(oss)) == 16
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_scans_match_reference(self, name):
+        oss = ORACLE_SYSTEMS[name]
+        space = solve_space(oss)
+        assert degenerate_pairs(oss, space) == \
+            reference_degenerate_pairs(oss, space)
+        assert forced_squares(oss, space) == \
+            reference_forced_squares(oss, space)
+
+
+class TestFreeLabels:
+    """mixed-9-1's maximal set has one square and five free labels, so its
+    gauged space has dimension 10."""
+
+    @pytest.fixture(scope="class")
+    def oss(self):
+        rec = next(r for r in load_default_corpus() if r.id == "mixed-9-1")
+        return oss_from_pointset(rec.point_set())
+
+    def test_decided_and_witnessed(self, oss):
+        assert solve_gauged(oss).dimension == 10
+        report = is_realizable(oss)
+        assert report.realizable
+        assert verify_realization(oss, report.witness)
+
+    def test_strict_witness(self, oss):
+        pts = strict_witness(oss)
+        assert verify_realization(oss, pts)
+        assert count_squares(_cleared(pts)) == len(oss.squares) + len(
+            forced_squares(oss))
