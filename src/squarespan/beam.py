@@ -10,25 +10,22 @@ when the search reaches its cardinality.
 
 Retention is exact: the retained classes are precisely the first
 ``beam_width`` of the deduplicated pool under (score descending, key
-ascending).  Two internal shortcuts never change that set:
-
-* candidates are stored in per-score buckets with a bounded total, each
-  as its parent's point tuple (shared, not copied) and the one or two
-  points it adds; the child's own point tuple is built only when it is
-  keyed.  When the bound is hit the lowest buckets are evicted and
-  later candidates at evicted scores are skipped.  If deduplication
-  then runs short of ``beam_width`` classes, the pool is rebuilt from
-  the retained parents with a larger bound, so eviction is only ever an
-  accelerator;
-* candidates are canonicalized bucket by bucket from the top and keying
-  stops once the retention boundary's bucket is complete.
+ascending).  Candidates wait in per-score buckets, each as its parent's
+point tuple (shared, not copied) and the one or two points it adds; the
+child's own point tuple is built only when it is keyed.  When too many
+wait, the pool is cut: it keys them from the top score down, stops at
+the first score s with at least ``beam_width`` classes scoring s or
+more, and drops everything below s.  Nothing below s can be retained,
+so s is an exact floor: later candidates under it are neither built nor
+stored, and each level's expansion re-reads the floors chunk by chunk.
+Finalizing keys what is left the same way.
 
 Every best value is certified on the spot by recounting its witness
 with the counting routines of :mod:`squarespan.geometry`.  The search
 is serial and deterministic: each level's parents are expanded in
 fixed-size chunks, and within a chunk the children reach the pools by
 step and then by descending score, so the order of arrival, and with it
-any eviction, is fixed by the configuration alone.
+every cut, is fixed by the configuration alone.
 """
 
 from __future__ import annotations
@@ -77,9 +74,9 @@ class LevelStat:
     """Collection diagnostics of one finalized cardinality.
 
     ``collected`` counts raw candidate arrivals at the pool, ``keyed``
-    the candidates actually canonicalized, ``distinct`` the classes
-    found down to the retention boundary; ``rebuilds`` is how often the
-    pool had to be recollected to certify exactness.
+    the candidates actually canonicalized (by cuts and finalizing
+    alike), ``distinct`` the classes they fell into; ``rebuilds`` is how
+    many times the pool was cut to its exact floor.
     """
 
     n: int
@@ -142,84 +139,101 @@ class BeamResult:
 # ---------------------------------------------------------------------------
 
 
-class _PoolShortfall(Exception):
-    """Deduplication ran short of the width after eviction; recollect."""
-
-
 class _Pool:
-    """Raw candidates in per-score buckets with a bounded total.
+    """Candidates of one cardinality, cut at an exact floor when full.
 
-    A candidate is stored as (parent points, new_doubled), the parent's
-    tuple and the doubled points ``extension._children`` adds to it; it
-    counts as one entry.  Exceeding ``cap`` evicts whole lowest-score
-    buckets down to half the cap (never the highest bucket); the largest
-    evicted score is remembered and later arrivals at or below it are
-    dropped.
+    Candidates at or above ``floor`` wait unkeyed in per-score buckets,
+    each as (parent points, new_doubled): the parent's tuple (shared, not
+    copied) and the doubled points ``extension._children`` adds to it.
+    Keyed candidates are held once per class in ``classes`` (key ->
+    score).  When more than ``cap`` candidates wait, :func:`_rebuild_pool`
+    keys them and raises ``floor`` to the highest score with at least
+    ``width`` classes at or above it; nothing below that score can be
+    retained, so it is dropped for good.
     """
 
-    __slots__ = ("buckets", "cap", "stored", "collected", "evicted")
+    __slots__ = ("width", "cap", "buckets", "classes", "floor", "stored",
+                 "collected", "keyed", "distinct", "cuts")
 
-    def __init__(self, cap: int):
-        self.buckets: dict[int, list[tuple]] = {}
+    def __init__(self, width: int, cap: int):
+        self.width = width
         self.cap = cap
+        self.buckets: dict[int, list[tuple]] = {}
+        self.classes: dict[tuple, int] = {}
+        self.floor = 0
         self.stored = 0
         self.collected = 0
-        self.evicted = -1
-
-    @property
-    def floor(self) -> int:
-        """Minimal score still accepted."""
-        return self.evicted + 1
+        self.keyed = 0
+        self.distinct = 0
+        self.cuts = 0
 
     def add(self, score: int, parent: tuple, new_doubled: tuple) -> None:
         self.collected += 1
-        if score <= self.evicted:
+        if score < self.floor:
             return
         self.buckets.setdefault(score, []).append((parent, new_doubled))
         self.stored += 1
         if self.stored > self.cap:
-            for s in sorted(self.buckets)[:-1]:
-                if 2 * self.stored <= self.cap:
-                    break
-                self.stored -= len(self.buckets.pop(s))
-                self.evicted = max(self.evicted, s)
+            _rebuild_pool(self)
 
 
-def _finalize(pool: _Pool, width: int):
-    """Exact top-``width`` classes: (retained, keyed, distinct).
+def _key_down(pool: _Pool) -> int:
+    """Key waiting candidates from the top score down.
 
-    ``retained`` is a list of (key, score) in (score descending, key
-    ascending) order; each candidate's child points are built just
-    before it is keyed.  Raises _PoolShortfall when fewer than ``width``
-    classes survive deduplication although candidates were evicted --
-    only then could an evicted candidate have belonged to the result.
-    Raises RuntimeError when one class turns up at two scores, which
-    would make the scores, and so the retained set, wrong.
+    Stops at the first score s, among waiting buckets and held classes,
+    with at least ``pool.width`` classes scoring s or more, and returns
+    s; returns ``pool.floor`` when every candidate is keyed without
+    reaching the width.  Each candidate's child points are built just
+    before it is keyed.  Raises RuntimeError when one class turns up at
+    two scores, which would make the scores, and so the retained set,
+    wrong.
     """
-    retained: list[tuple[tuple, int]] = []
-    seen: dict[tuple, int] = {}
-    keyed = 0
-    for s in sorted(pool.buckets, reverse=True):
-        if len(retained) >= width:
-            break
-        fresh = []
-        for parent, new in pool.buckets[s]:
-            keyed += 1
+    buckets, classes = pool.buckets, pool.classes
+    per_score: dict[int, int] = {}
+    for s in classes.values():
+        per_score[s] = per_score.get(s, 0) + 1
+    above = 0
+    for s in sorted(buckets.keys() | per_score.keys(), reverse=True):
+        for parent, new in buckets.pop(s, ()):
+            pool.keyed += 1
             k = centered_key(_child_points(parent, new)[0])
-            if k in seen:
-                if seen[k] != s:
-                    raise RuntimeError(
-                        f"same class at two scores: {seen[k]} and {s}")
-                continue
-            seen[k] = s
-            fresh.append(k)
-        fresh.sort()
-        for k in fresh:
-            if len(retained) < width:
-                retained.append((k, s))
-    if len(retained) < width and pool.evicted >= 0:
-        raise _PoolShortfall
-    return retained, keyed, len(seen)
+            seen = classes.get(k)
+            if seen is None:
+                classes[k] = s
+                per_score[s] = per_score.get(s, 0) + 1
+                pool.distinct += 1
+            elif seen != s:
+                raise RuntimeError(
+                    f"same class at two scores: {seen} and {s}")
+        above += per_score.get(s, 0)
+        if above >= pool.width:
+            return s
+    return pool.floor
+
+
+def _rebuild_pool(pool: _Pool) -> None:
+    """Cut the pool at its exact floor: key what waits, drop what scores
+    below the ``pool.width``-th best class.
+
+    ``perfbench/tracing.py`` times this function as ``beam.rebuild``.
+    """
+    pool.cuts += 1
+    pool.floor = floor = _key_down(pool)
+    pool.classes = {k: s for k, s in pool.classes.items() if s >= floor}
+    pool.buckets.clear()
+    pool.stored = 0
+
+
+def _finalize(pool: _Pool) -> list[tuple[tuple, int]]:
+    """Exact top ``pool.width`` classes as (key, score) pairs.
+
+    Keys the waiting candidates as a cut does, starting from the classes
+    the pool holds, and returns the first ``width`` classes in (score
+    descending, key ascending) order.
+    """
+    floor = _key_down(pool)
+    top = sorted((-s, k) for k, s in pool.classes.items() if s >= floor)
+    return [(k, -s) for s, k in top[:pool.width]]
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +270,16 @@ def _reps(retained) -> list[tuple[tuple, int]]:
     return [(key_to_pointset(k).points, m) for k, m in retained]
 
 
-def _rebuild_pool(mode: str, target: int, retained, cap: int, deltas) -> _Pool:
-    """Recollect the pool of cardinality ``target`` with a larger cap."""
-    pool = _Pool(cap)
-    for d in deltas:
-        parents = retained.get(target - d)
-        if not parents:
-            continue
-        _collect({d: pool},
-                 _expand_beam_chunk(mode, _reps(parents), {d: pool.floor}))
-    return pool
-
-
 def beam_search(cfg: BeamConfig) -> BeamResult:
     """Run the truncated best-first search to ``cfg.n_target``."""
     mode = cfg.mode
     seed = _SEEDS[mode]
     deltas = (1,) if mode == "rit" else (1, 2)
     start_n = len(seed)
-    base_cap = max(4096, 8 * cfg.beam_width)
+    cap = max(4096, 8 * cfg.beam_width)
     count_fn = count_rit if mode == "rit" else count_squares
 
     result = BeamResult(config=cfg)
-    retained: dict[int, list[tuple[tuple, int]]] = {}
     pools: dict[int, _Pool] = {}
     cur_best = 0
     cur_origin = start_n
@@ -289,21 +290,12 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
             stat = LevelStat(n=n, collected=1, keyed=1, distinct=1,
                              retained=1, best=1)
         else:
-            pool = pools.pop(n, None) or _Pool(base_cap)
-            rebuilds = 0
-            while True:
-                try:
-                    level, keyed, distinct = _finalize(pool, cfg.beam_width)
-                    break
-                except _PoolShortfall:
-                    rebuilds += 1
-                    pool = _rebuild_pool(mode, n, retained, pool.cap * 4,
-                                         deltas)
-            stat = LevelStat(n=n, collected=pool.collected, keyed=keyed,
-                             distinct=distinct, retained=len(level),
+            pool = pools.pop(n)
+            level = _finalize(pool)
+            stat = LevelStat(n=n, collected=pool.collected, keyed=pool.keyed,
+                             distinct=pool.distinct, retained=len(level),
                              best=level[0][1] if level else 0,
-                             rebuilds=rebuilds)
-        retained[n] = level
+                             rebuilds=pool.cuts)
         result.levels.append(stat)
 
         if level and level[0][1] > cur_best:
@@ -321,24 +313,14 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
         result.best[n] = cur_best
         result.witness_origin[n] = cur_origin
 
-        if n == cfg.n_target or not level:
-            if n == cfg.n_target:
-                break
-            continue
-
-        floors = {}
-        for d in deltas:
-            t = n + d
-            if t <= cfg.n_target:
-                pools.setdefault(t, _Pool(base_cap))
-                floors[d] = pools[t].floor
-        if floors:
-            sinks = {d: pools[n + d] for d in floors}
-            parents = _reps(level)
-            for i in range(0, len(parents), _CHUNK):
-                _collect(sinks, _expand_beam_chunk(
-                    mode, parents[i:i + _CHUNK], floors))
-
-        retained.pop(n - 2, None)
+        if n == cfg.n_target:
+            break
+        sinks = {d: pools.setdefault(n + d, _Pool(cfg.beam_width, cap))
+                 for d in deltas if n + d <= cfg.n_target}
+        parents = _reps(level)
+        for i in range(0, len(parents), _CHUNK):
+            floors = {d: sink.floor for d, sink in sinks.items()}
+            _collect(sinks, _expand_beam_chunk(
+                mode, parents[i:i + _CHUNK], floors))
 
     return result

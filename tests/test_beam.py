@@ -3,8 +3,15 @@ from dataclasses import astuple
 import pytest
 
 import squarespan.beam
-from squarespan.beam import BeamConfig, _finalize, _Pool, beam_search
-from squarespan.extension import one_extensions, two_extensions
+from squarespan.beam import (
+    BeamConfig,
+    _expand_beam_chunk,
+    _finalize,
+    _Pool,
+    _reps,
+    beam_search,
+)
+from squarespan.extension import _CHUNK, one_extensions, two_extensions
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import centered_key, key_to_pointset
 from squarespan.tables import (
@@ -110,8 +117,9 @@ class TestWitnesses:
 
 
 # (n, collected, keyed, distinct, retained, best, rebuilds) of square
-# width 200 up to n=17, the first level whose pool is rebuilt.  The order
-# in which candidates reach a pool decides eviction and so these counts.
+# width 200 up to n=17; from n=12 on each pool is cut once to its exact
+# floor.  The order in which candidates reach a pool decides when it is
+# cut, and so the collected counts.
 SQUARE_17_LEVELS = [
     (4, 1, 1, 1, 1, 1, 0),
     (5, 0, 0, 0, 0, 0, 0),
@@ -121,12 +129,12 @@ SQUARE_17_LEVELS = [
     (9, 157, 157, 36, 36, 6, 0),
     (10, 1056, 1056, 420, 200, 7, 0),
     (11, 3701, 3701, 1522, 200, 8, 0),
-    (12, 18358, 3681, 571, 200, 11, 0),
-    (13, 20606, 3578, 541, 200, 13, 0),
-    (14, 23462, 3009, 455, 200, 15, 0),
-    (15, 27581, 3688, 617, 200, 17, 0),
-    (16, 30850, 2838, 316, 200, 20, 0),
-    (17, 37046, 4381, 707, 200, 22, 1),
+    (12, 7152, 3681, 571, 200, 11, 1),
+    (13, 8457, 3578, 541, 200, 13, 1),
+    (14, 8793, 3009, 455, 200, 15, 1),
+    (15, 10404, 3688, 617, 200, 17, 1),
+    (16, 11202, 2838, 316, 200, 20, 1),
+    (17, 13699, 4381, 707, 200, 22, 1),
 ]
 
 SQUARE_17_TSV = """\
@@ -186,19 +194,71 @@ class TestLazyChildren:
         monkeypatch.setattr(squarespan.beam, "_child_points", counting)
         res = beam_search(
             BeamConfig(mode="square", n_target=14, beam_width=50))
-        # The seed level is keyed without building a child, and a pool
-        # rebuild would key candidates whose count LevelStat drops.
-        assert all(stat.rebuilds == 0 for stat in res.levels)
+        # The seed level is keyed without building a child; keys made
+        # by a cut count in ``keyed`` as well.
         assert len(built) == sum(stat.keyed for stat in res.levels[1:])
         assert len(built) < sum(stat.collected for stat in res.levels)
 
     def test_class_at_two_scores_raises(self):
-        pool = _Pool(100)
-        triangle = ((0, 0), (1, 0), (0, 1))
-        pool.add(3, triangle, ((2, 2),))  # completes the unit square
-        pool.add(2, triangle, ((2, 2),))
+        pool = _Pool(5, 100)
+        pool.add(3, TRIANGLE, ((2, 2),))  # completes the unit square
+        pool.add(2, TRIANGLE, ((2, 2),))
         with pytest.raises(RuntimeError, match="same class at two scores"):
-            _finalize(pool, 5)
+            _finalize(pool)
+
+
+TRIANGLE = ((0, 0), (1, 0), (0, 1))
+
+
+class TestExactCut:
+    """A pool cut at its exact floor retains what an uncut pool does."""
+
+    @staticmethod
+    def _arrivals(monkeypatch):
+        # Every child of the classes square width 200 retains at n=11,
+        # by step, as (score, parent, added) in the order the search
+        # feeds its pools, with no floor applied.
+        levels = []
+        finalize = squarespan.beam._finalize
+
+        def recording(pool):
+            levels.append(finalize(pool))
+            return levels[-1]
+
+        monkeypatch.setattr(squarespan.beam, "_finalize", recording)
+        beam_search(BeamConfig(mode="square", n_target=11, beam_width=200))
+        parents = _reps(levels[-1])
+        arrivals = {1: [], 2: []}
+        for i in range(0, len(parents), _CHUNK):
+            out = _expand_beam_chunk(
+                "square", parents[i:i + _CHUNK], {1: 0, 2: 0})
+            for d, buckets in out.items():
+                for s in sorted(buckets, reverse=True):
+                    arrivals[d] += [(s, pts, new) for pts, new in buckets[s]]
+        return arrivals.values()
+
+    def test_cut_pools_finalize_identically(self, monkeypatch):
+        for arrivals in self._arrivals(monkeypatch):
+            # A pool wider than its class count keys every candidate.
+            every = _Pool(10**9, 10**9)
+            for arrival in arrivals:
+                every.add(*arrival)
+            every = _finalize(every)
+            assert len(every) > 200
+            for width in (1, 20, 200):
+                for cap in (1, 2, 8, 10**9):
+                    pool = _Pool(width, cap)
+                    for arrival in arrivals:
+                        pool.add(*arrival)
+                        assert pool.stored <= cap
+                    assert _finalize(pool) == every[:width], (width, cap)
+                    assert (pool.cuts > 0) == (cap < 10**9)
+
+    def test_class_at_two_scores_raises_in_cut(self):
+        pool = _Pool(5, 1)
+        pool.add(3, TRIANGLE, ((2, 2),))  # completes the unit square
+        with pytest.raises(RuntimeError, match="same class at two scores"):
+            pool.add(2, TRIANGLE, ((2, 2),))  # a second waiting: cut
 
 
 class TestConfigValidation:
