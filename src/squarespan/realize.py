@@ -9,27 +9,32 @@ number z_j = x_j + i*y_j, each prescribed square (a, b, c, d) imposes
 
 and the set is realizable exactly when the resulting linear system has a
 solution with pairwise distinct z_j.  Everything here is exact: systems
-are solved by fraction Gaussian elimination, and each label's point is
-written once as two affine forms on the solution space.  Labels coincide
-in every solution exactly when their forms are equal, and a quadruple is
-forced when the forms of c and d equal the completion of the side a, b
-to a counterclockwise square, which a dict from forms to labels finds
-for all pairs in O(n^2) lookups.  Witnesses are the first integer point
-of the moment curve (B, B^2, ..., B^dim) where no avoided form group
-vanishes; a form that is not identically zero vanishes at no more than
-dim values of B, so the search ends by B = dim * (number of groups).
+are solved by Gauss-Jordan elimination over sparse rows of Fractions
+(each square row has at most four nonzero entries, and cancelled entries
+are dropped), and each label's point is written once as two affine forms
+on the solution space.  Labels coincide in every solution exactly when
+their forms are equal, and a quadruple is forced when the forms of c and
+d equal the completion of the side a, b to a counterclockwise square,
+which a dict from forms to labels finds for all pairs in O(n^2) lookups.
+Witnesses are the first integer point of the moment curve
+(B, B^2, ..., B^dim) where no avoided form group vanishes; a form that
+is not identically zero vanishes at no more than dim values of B, so the
+search ends by B = dim * (number of groups).
 
 The unrestricted solution space always contains the constant solutions,
 so its dimension is at least 2; a set whose space consists of constants
 only is maximally degenerate.  Gauging pins the first square's first
 two labels to 0 and i, cutting the similarity freedom out of the space.
+The gauged solve continues from the unrestricted one: it reduces only
+the four gauge rows against the pivot rows the unrestricted space keeps,
+so each decision eliminates the square system once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -93,6 +98,9 @@ class SolutionSpace:
     particular: tuple[Fraction, ...]
     basis: tuple[tuple[Fraction, ...], ...]
     gauge: tuple[tuple[int, Fraction, Fraction], ...]
+    # The reduced pivot rows {column: {column: Fraction}} of the solve
+    # that made this space, for solve_gauged to continue from.
+    _pivots: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -251,47 +259,74 @@ def build_system(oss: OrientedSquareSet) -> LinearSystemQ:
                          rhs=(zero,) * len(rows))
 
 
-def _solve_affine(n_vars, rows, rhs, gauge=()):
-    """Exact elimination; returns a SolutionSpace or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in aug:
-        for col, piv in pivots.items():
-            if row[col]:
-                f = row[col]
-                for i in range(n_vars + 1):
-                    row[i] -= f * piv[i]
-        lead = next((i for i in range(n_vars) if row[i]), None)
-        if lead is None:
-            if row[n_vars]:
-                return None
+def _axpy(row: dict, f: Fraction, other: dict) -> None:
+    """row += f * other on sparse rows, dropping entries that cancel."""
+    for i, c in other.items():
+        v = row.get(i)
+        v = f * c if v is None else v + f * c
+        if v:
+            row[i] = v
+        else:
+            del row[i]
+
+
+def _solve_affine(n_vars, rows, rhs, gauge=(), pivots=None):
+    """Exact elimination over sparse rows; returns a SolutionSpace, or
+    None if the rows are inconsistent.
+
+    ``rows`` are dense, as :func:`build_system` gives them.  Each row is
+    kept as {column: Fraction} with its right-hand side under the key
+    ``n_vars``, and an entry is dropped as soon as it cancels.
+    Rows are reduced one at a time against the pivot rows so far, which
+    stay in reduced row echelon form: a row's leading column is a new
+    pivot, and it is cleared from the earlier pivot rows.  ``pivots``
+    continues the reduction from the pivot rows of an earlier call
+    (copied, not changed); the result is the same as reducing the
+    earlier rows and ``rows`` together, since the reduced row echelon
+    form of a system is unique.  The space keeps its pivot rows for such
+    a continuation.
+    """
+    pivots = {} if pivots is None else {
+        col: dict(piv) for col, piv in pivots.items()}
+    for dense, b in zip(rows, rhs):
+        row = {i: c for i, c in enumerate(dense) if c}
+        if b:
+            row[n_vars] = b
+        for col in [c for c in row if c in pivots]:
+            _axpy(row, -row[col], pivots[col])
+        if not row:
             continue
+        lead = min(row)
+        if lead == n_vars:
+            return None
         f = row[lead]
-        for i in range(n_vars + 1):
-            row[i] /= f
+        row = {i: c / f for i, c in row.items()}
         for piv in pivots.values():
-            if piv[lead]:
-                g = piv[lead]
-                for i in range(n_vars + 1):
-                    piv[i] -= g * row[i]
+            if lead in piv:
+                _axpy(piv, -piv[lead], row)
         pivots[lead] = row
-    free = [i for i in range(n_vars) if i not in pivots]
-    particular = [Fraction(0)] * n_vars
+    zero = Fraction(0)
+    particular = [zero] * n_vars
     for col, piv in pivots.items():
-        particular[col] = piv[n_vars]
+        particular[col] = piv.get(n_vars, zero)
+    free = [i for i in range(n_vars) if i not in pivots]
     basis = []
     for f_col in free:
-        vec = [Fraction(0)] * n_vars
+        vec = [zero] * n_vars
         vec[f_col] = Fraction(1)
         for col, piv in pivots.items():
-            vec[col] = -piv[f_col]
+            vec[col] = -piv.get(f_col, zero)
         basis.append(tuple(vec))
     return SolutionSpace(particular=tuple(particular), basis=tuple(basis),
-                         gauge=tuple(gauge))
+                         gauge=tuple(gauge), _pivots=pivots)
 
 
 def solve_space(oss: OrientedSquareSet) -> SolutionSpace:
-    """The unrestricted solution space (homogeneous; constants included)."""
+    """The unrestricted solution space (homogeneous; constants included).
+
+    Its pivot rows let :func:`solve_gauged` continue from this reduction
+    instead of reducing the square system again.
+    """
     sys = build_system(oss)
     space = _solve_affine(sys.n_vars, sys.rows, sys.rhs)
     if space is None:
@@ -299,35 +334,46 @@ def solve_space(oss: OrientedSquareSet) -> SolutionSpace:
     return space
 
 
-def solve_gauged(oss: OrientedSquareSet, gauge=None) -> SolutionSpace:
+def solve_gauged(oss: OrientedSquareSet, gauge=None,
+                 space: SolutionSpace | None = None) -> SolutionSpace:
     """The solution space with two labels pinned: z_a = 0 and z_b = i.
 
-    ``gauge`` defaults to the first square's first two labels.  Raises
-    ValueError when the gauged system is inconsistent, which happens
-    exactly when every solution has z_a = z_b.
+    ``gauge`` defaults to the first square's first two labels.  Given
+    the unrestricted ``space`` of ``oss`` from :func:`solve_space`, only
+    the four gauge rows are reduced, against a copy of its pivot rows;
+    otherwise the square rows are reduced first, in the same call.
+    Raises ValueError when a gauge label is outside 1..order or the two
+    labels are equal, and when the gauged system is inconsistent, which
+    happens exactly when every solution has z_a = z_b.
     """
     if not oss.squares:
         raise ValueError("gauge needs at least one square")
     a, b = gauge if gauge is not None else oss.squares[0][:2]
-    sys = build_system(oss)
+    if a == b or not (1 <= a <= oss.order and 1 <= b <= oss.order):
+        raise ValueError(f"gauge ({a}, {b}) needs two distinct labels "
+                         f"in 1..{oss.order}")
+    n_vars = 2 * oss.order
     zero = Fraction(0)
     one = Fraction(1)
-    rows = list(sys.rows)
-    rhs = list(sys.rhs)
+    pivots = None if space is None else space._pivots
+    rows, rhs = [], []
+    if pivots is None:
+        sys = build_system(oss)
+        rows, rhs = list(sys.rows), list(sys.rhs)
     for col, val in (
             (2 * (a - 1), zero), (2 * (a - 1) + 1, zero),
             (2 * (b - 1), zero), (2 * (b - 1) + 1, one)):
-        row = [zero] * sys.n_vars
+        row = [zero] * n_vars
         row[col] = one
-        rows.append(tuple(row))
+        rows.append(row)
         rhs.append(val)
     gauge_info = ((a, zero, zero), (b, zero, one))
-    space = _solve_affine(sys.n_vars, rows, rhs, gauge_info)
-    if space is None:
+    gauged = _solve_affine(n_vars, rows, rhs, gauge_info, pivots=pivots)
+    if gauged is None:
         raise ValueError(
             f"gauge z_{a}=0, z_{b}=i is inconsistent: the labels {a} and "
             f"{b} coincide in every solution")
-    return space
+    return gauged
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +533,7 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
             realizable=False, dimension=space.dimension, witness=None,
             degenerate_pairs=degenerate, forced_squares=())
     if oss.squares:
-        gauged = solve_gauged(oss)
+        gauged = solve_gauged(oss, space=space)
         params = rationalize(
             gauged, _distinctness_groups(_point_table(gauged)))
         witness = tuple(gauged.points_at(params))
@@ -510,7 +556,7 @@ def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
     if not oss.squares:
         return _collinear(oss.order)
     allowed = set(oss.squares) | set(forced_squares(oss, space))
-    gauged = solve_gauged(oss)
+    gauged = solve_gauged(oss, space=space)
     table = _point_table(gauged)
     groups = _distinctness_groups(table)
     for a, b in itertools.combinations(range(1, oss.order + 1), 2):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -20,6 +21,7 @@ from squarespan.corpus import load_default_corpus
 from squarespan.geometry import PointSet, count_squares
 from squarespan.realize import (
     OrientedSquareSet,
+    SolutionSpace,
     _form_on_space,
     build_system,
     degenerate_pairs,
@@ -123,6 +125,12 @@ class TestSolutionDimensions:
         # be pinned apart.
         with pytest.raises(ValueError):
             solve_gauged(FIVE_SQUARES_10)
+
+    @pytest.mark.parametrize("gauge", [(0, 1), (1, 9), (2, 2)])
+    def test_gauge_labels_validated(self, gauge):
+        # Labels outside 1..7 or a repeated label pin no valid pair.
+        with pytest.raises(ValueError, match="distinct labels"):
+            solve_gauged(TWO_SQUARES_7, gauge=gauge)
 
     def test_space_evaluation(self):
         space = solve_gauged(TWO_SQUARES_7)
@@ -289,6 +297,33 @@ class TestRationalize:
             rationalize(space, [[zero_form]])
 
 
+class TestOneElimination:
+    """Each public call reduces the square system once: the gauged solve
+    continues from the unrestricted space's pivot rows."""
+
+    @pytest.fixture
+    def full_reductions(self, monkeypatch):
+        original = squarespan.realize._solve_affine
+        signature = inspect.signature(original)
+        count = [0]
+
+        def counting(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            if bound.arguments.get("pivots") is None:
+                count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(squarespan.realize, "_solve_affine", counting)
+        return count
+
+    @pytest.mark.parametrize("call", [is_realizable, strict_witness,
+                                      grid_embed])
+    @pytest.mark.parametrize("oss", [TWO_SQUARES_7, FORCED_FIFTH_OSS])
+    def test_one_full_reduction_per_call(self, full_reductions, call, oss):
+        call(oss)
+        assert full_reductions[0] == 1
+
+
 class TestGridEmbedding:
     def test_single_square(self):
         oss = OrientedSquareSet(order=4, squares=((1, 2, 3, 4),))
@@ -311,8 +346,66 @@ class TestGridEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# Reference scans: every pair and every oriented 4-cycle, form by form.
+# Reference solver and scans: dense elimination, every pair and every
+# oriented 4-cycle, form by form.
 # ---------------------------------------------------------------------------
+
+
+def reference_solve_affine(n_vars, rows, rhs, gauge=()):
+    """Dense exact elimination; a SolutionSpace, or None if inconsistent.
+    Each row is reduced over every column against the pivot rows so far,
+    which are kept in reduced row echelon form."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots: dict[int, list[Fraction]] = {}
+    for row in aug:
+        for col, piv in pivots.items():
+            if row[col]:
+                f = row[col]
+                for i in range(n_vars + 1):
+                    row[i] -= f * piv[i]
+        lead = next((i for i in range(n_vars) if row[i]), None)
+        if lead is None:
+            if row[n_vars]:
+                return None
+            continue
+        f = row[lead]
+        for i in range(n_vars + 1):
+            row[i] /= f
+        for piv in pivots.values():
+            if piv[lead]:
+                g = piv[lead]
+                for i in range(n_vars + 1):
+                    piv[i] -= g * row[i]
+        pivots[lead] = row
+    free = [i for i in range(n_vars) if i not in pivots]
+    particular = [Fraction(0)] * n_vars
+    for col, piv in pivots.items():
+        particular[col] = piv[n_vars]
+    basis = []
+    for f_col in free:
+        vec = [Fraction(0)] * n_vars
+        vec[f_col] = Fraction(1)
+        for col, piv in pivots.items():
+            vec[col] = -piv[f_col]
+        basis.append(tuple(vec))
+    return SolutionSpace(particular=tuple(particular), basis=tuple(basis),
+                         gauge=tuple(gauge))
+
+
+def reference_gauged(oss, gauge):
+    """The gauged space from one dense elimination of the square rows
+    followed by the four gauge rows z_a = 0, z_b = i."""
+    a, b = gauge
+    system = build_system(oss)
+    zero, one = Fraction(0), Fraction(1)
+    rows, rhs = list(system.rows), list(system.rhs)
+    for col, val in ((2 * (a - 1), zero), (2 * (a - 1) + 1, zero),
+                     (2 * (b - 1), zero), (2 * (b - 1) + 1, one)):
+        rows.append(tuple(one if i == col else zero
+                          for i in range(system.n_vars)))
+        rhs.append(val)
+    return reference_solve_affine(system.n_vars, rows, rhs,
+                                  ((a, zero, zero), (b, zero, one)))
 
 
 def _vanish_on(space, term_lists):
@@ -392,6 +485,38 @@ class TestAgainstReferenceScans:
         assert len(systems) == 57
         assert any(degenerate_pairs(oss) for oss in systems)
         assert sum(1 for oss in systems if forced_squares(oss)) == 16
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_space_matches_reference(self, name):
+        system = build_system(ORACLE_SYSTEMS[name])
+        expected = reference_solve_affine(system.n_vars, system.rows,
+                                          system.rhs)
+        assert repr(solve_space(ORACLE_SYSTEMS[name])) == repr(expected)
+
+    @pytest.mark.parametrize(("name", "gauge"), [
+        *((name, None) for name in sorted(ORACLE_SYSTEMS)),
+        ("four-squares-10", (1, 3)),
+    ])
+    def test_gauged_matches_reference(self, name, gauge):
+        # Gauged from scratch and continued from the unrestricted space;
+        # five-squares-10 is inconsistent under its gauge.
+        oss = ORACLE_SYSTEMS[name]
+        if not oss.squares:
+            with pytest.raises(ValueError, match="at least one square"):
+                solve_gauged(oss)
+            return
+        expected = reference_gauged(oss, gauge or oss.squares[0][:2])
+        for space in (None, solve_space(oss)):
+            if expected is None:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    solve_gauged(oss, gauge, space)
+            else:
+                assert repr(solve_gauged(oss, gauge, space)) == \
+                    repr(expected)
+
+    def test_inconsistent_gauge_reached(self):
+        oss = ORACLE_SYSTEMS["five-squares-10"]
+        assert reference_gauged(oss, oss.squares[0][:2]) is None
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_scans_match_reference(self, name):

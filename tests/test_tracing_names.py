@@ -30,3 +30,27 @@ def test_every_traced_function_resolves():
     for module, attr in targets:
         mod = importlib.import_module(f"squarespan.{module}")
         assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
+
+
+REALIZE = Path(__file__).resolve().parents[1] / "src" / "squarespan" / "realize.py"
+ELIMINATION = "_solve_affine"
+
+
+def test_elimination_runs_inside_the_solve_span():
+    # The realize.solve span times the solver only if every call of the
+    # elimination routine sits in a function that the span wraps.
+    spanned = {attr for module, attr in _tables()["SPANS"]["realize.solve"]
+               if module == "realize"}
+    tree = ast.parse(REALIZE.read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert ELIMINATION in defined
+    callers = set()
+    for node in tree.body:
+        name = node.name if isinstance(node, ast.FunctionDef) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
+                    and sub.func.id == ELIMINATION:
+                callers.add(name)
+    assert callers, "no caller of the elimination routine found"
+    assert callers <= spanned, sorted(map(str, callers - spanned))
