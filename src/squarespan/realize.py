@@ -338,13 +338,15 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
                  space: SolutionSpace | None = None) -> SolutionSpace:
     """The solution space with two labels pinned: z_a = 0 and z_b = i.
 
-    ``gauge`` defaults to the first square's first two labels.  Given
-    the unrestricted ``space`` of ``oss`` from :func:`solve_space`, only
-    the four gauge rows are reduced, against a copy of its pivot rows;
-    otherwise the square rows are reduced first, in the same call.
+    ``gauge`` defaults to the first square's first two labels.  Only the
+    four gauge rows are reduced, against a copy of the pivot rows of the
+    unrestricted ``space`` of ``oss``; :func:`solve_space` makes that
+    space when none is given.
     Raises ValueError when a gauge label is outside 1..order or the two
-    labels are equal, and when the gauged system is inconsistent, which
-    happens exactly when every solution has z_a = z_b.
+    labels are equal, when ``space`` is not an unrestricted space from
+    :func:`solve_space` on 2 * order variables, and when the gauged
+    system is inconsistent, which happens exactly when every solution
+    has z_a = z_b.
     """
     if not oss.squares:
         raise ValueError("gauge needs at least one square")
@@ -353,13 +355,15 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
         raise ValueError(f"gauge ({a}, {b}) needs two distinct labels "
                          f"in 1..{oss.order}")
     n_vars = 2 * oss.order
+    if space is None:
+        space = solve_space(oss)
+    elif (space.gauge or space._pivots is None
+          or len(space.particular) != n_vars):
+        raise ValueError("space must be the unrestricted space of an order-"
+                         f"{oss.order} system from solve_space")
     zero = Fraction(0)
     one = Fraction(1)
-    pivots = None if space is None else space._pivots
     rows, rhs = [], []
-    if pivots is None:
-        sys = build_system(oss)
-        rows, rhs = list(sys.rows), list(sys.rhs)
     for col, val in (
             (2 * (a - 1), zero), (2 * (a - 1) + 1, zero),
             (2 * (b - 1), zero), (2 * (b - 1) + 1, one)):
@@ -368,7 +372,8 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
         rows.append(row)
         rhs.append(val)
     gauge_info = ((a, zero, zero), (b, zero, one))
-    gauged = _solve_affine(n_vars, rows, rhs, gauge_info, pivots=pivots)
+    gauged = _solve_affine(n_vars, rows, rhs, gauge_info,
+                           pivots=space._pivots)
     if gauged is None:
         raise ValueError(
             f"gauge z_{a}=0, z_{b}=i is inconsistent: the labels {a} and "

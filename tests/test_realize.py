@@ -132,6 +132,18 @@ class TestSolutionDimensions:
         with pytest.raises(ValueError, match="distinct labels"):
             solve_gauged(TWO_SQUARES_7, gauge=gauge)
 
+    @pytest.mark.parametrize("space", [
+        pytest.param(lambda: solve_gauged(FOUR_SQUARES_10), id="gauged"),
+        pytest.param(lambda: solve_space(TWO_SQUARES_7), id="other-order"),
+        pytest.param(lambda: SolutionSpace(
+            particular=(Fraction(0),) * 20, basis=(), gauge=()),
+            id="no-pivot-rows"),
+    ])
+    def test_space_validated(self, space):
+        # Only an unrestricted space of the same order can be continued.
+        with pytest.raises(ValueError, match="unrestricted space"):
+            solve_gauged(FOUR_SQUARES_10, gauge=(1, 3), space=space())
+
     def test_space_evaluation(self):
         space = solve_gauged(TWO_SQUARES_7)
         pts = space.points_at((1, 2))
@@ -498,7 +510,7 @@ class TestAgainstReferenceScans:
         ("four-squares-10", (1, 3)),
     ])
     def test_gauged_matches_reference(self, name, gauge):
-        # Gauged from scratch and continued from the unrestricted space;
+        # Without a space and continued from a given unrestricted space;
         # five-squares-10 is inconsistent under its gauge.
         oss = ORACLE_SYSTEMS[name]
         if not oss.squares:
