@@ -8,14 +8,15 @@ number z_j = x_j + i*y_j, each prescribed square (a, b, c, d) imposes
     z_d - z_a = i * (z_b - z_a)    (one side is the other rotated by 90)
 
 and the set is realizable exactly when the resulting linear system has a
-solution with pairwise distinct z_j.  Everything here is exact: systems
-are solved by Gauss-Jordan elimination over sparse rows of Fractions
-(each square row has at most four nonzero entries, and cancelled entries
-are dropped), and each label's point is written once as two affine forms
-on the solution space.  Labels coincide in every solution exactly when
-their forms are equal, and a quadruple is forced when the forms of c and
-d equal the completion of the side a, b to a counterclockwise square,
-which a dict from forms to labels finds for all pairs in O(n^2) lookups.
+solution with pairwise distinct z_j.  Everything here is exact: each
+square gives four sparse rows of Fractions with four nonzero entries
+apiece, and systems are solved by Gauss-Jordan elimination over sparse
+rows, dropping entries that cancel.  Each solution space writes every
+label's point once as two affine forms on the space, its label table.
+Labels coincide in every solution exactly when their forms are equal,
+and a quadruple is forced when the forms of c and d equal the
+completion of the side a, b to a counterclockwise square, which a dict
+from forms to labels finds for all pairs in O(n^2) lookups.
 Witnesses are the first integer point of the moment curve
 (B, B^2, ..., B^dim) where no avoided form group vanishes; a form that
 is not identically zero vanishes at no more than dim values of B, so the
@@ -27,7 +28,8 @@ only is maximally degenerate.  Gauging pins the first square's first
 two labels to 0 and i, cutting the similarity freedom out of the space.
 The gauged solve continues from the unrestricted one: it reduces only
 the four gauge rows against the pivot rows the unrestricted space keeps,
-so each decision eliminates the square system once.
+so each decision eliminates the square system once and builds two label
+tables, one per space.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from squarespan.geometry import PointSet, sqdist, squares_of
@@ -77,21 +80,6 @@ class OrientedSquareSet:
 
 
 @dataclass(frozen=True)
-class LinearSystemQ:
-    """Rational rows over the 2n variables x_1, y_1, ..., x_n, y_n.
-
-    Four rows per prescribed square, in listed square order: midpoint
-    condition before rotation condition, real part before imaginary
-    part.  The right-hand side is zero for all of them; only gauge rows
-    appended later are inhomogeneous.
-    """
-
-    n_vars: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class SolutionSpace:
     """Affine solution set {particular + sum t_i * basis_i}."""
 
@@ -106,8 +94,8 @@ class SolutionSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def at(self, params) -> tuple[Fraction, ...]:
-        """The solution vector for the given parameter tuple."""
+    def points_at(self, params) -> list[RatPoint]:
+        """Each label's point in the solution for the given parameters."""
         if len(params) != len(self.basis):
             raise ValueError("parameter count must match the dimension")
         v = list(self.particular)
@@ -115,11 +103,16 @@ class SolutionSpace:
             if t:
                 for i, c in enumerate(b):
                     v[i] += t * c
-        return tuple(v)
-
-    def points_at(self, params) -> list[RatPoint]:
-        v = self.at(params)
         return [(v[2 * i], v[2 * i + 1]) for i in range(len(v) // 2)]
+
+    @cached_property
+    def table(self) -> list:
+        """Each label's point as its two coordinate forms: entry j - 1
+        holds (x_j, y_j).  Two labels coincide in every solution exactly
+        when their entries are equal."""
+        return [(_form_on_space(self, ((2 * j, 1),)),
+                 _form_on_space(self, ((2 * j + 1, 1),)))
+                for j in range(len(self.particular) // 2)]
 
 
 @dataclass(frozen=True)
@@ -223,40 +216,24 @@ def render_oss(oss: OrientedSquareSet) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_system(oss: OrientedSquareSet) -> LinearSystemQ:
-    """The 4 * #squares real rows of the complex square conditions."""
-    n2 = 2 * oss.order
-    zero = Fraction(0)
+def build_system(oss: OrientedSquareSet) -> list[dict]:
+    """The 4 * #squares real rows of the complex square conditions.
+
+    Rows are sparse, {column: Fraction} over the 2n columns x_1, y_1,
+    ..., x_n, y_n, four per square in listed square order: midpoint
+    condition before rotation condition, real part before imaginary
+    part.  All are homogeneous, so none has a right-hand side.
+    """
     one = Fraction(1)
     rows = []
     for a, b, c, d in oss.squares:
-        xa, ya = 2 * (a - 1), 2 * (a - 1) + 1
-        xb, yb = 2 * (b - 1), 2 * (b - 1) + 1
-        xc, yc = 2 * (c - 1), 2 * (c - 1) + 1
-        xd, yd = 2 * (d - 1), 2 * (d - 1) + 1
-        mid_re = [zero] * n2
-        mid_re[xa] += one
-        mid_re[xb] -= one
-        mid_re[xc] += one
-        mid_re[xd] -= one
-        mid_im = [zero] * n2
-        mid_im[ya] += one
-        mid_im[yb] -= one
-        mid_im[yc] += one
-        mid_im[yd] -= one
-        rot_re = [zero] * n2
-        rot_re[xd] += one
-        rot_re[xa] -= one
-        rot_re[yb] += one
-        rot_re[ya] -= one
-        rot_im = [zero] * n2
-        rot_im[yd] += one
-        rot_im[ya] -= one
-        rot_im[xb] -= one
-        rot_im[xa] += one
-        rows.extend(map(tuple, (mid_re, mid_im, rot_re, rot_im)))
-    return LinearSystemQ(n_vars=n2, rows=tuple(rows),
-                         rhs=(zero,) * len(rows))
+        xa, xb, xc, xd = (2 * (v - 1) for v in (a, b, c, d))
+        ya, yb, yc, yd = xa + 1, xb + 1, xc + 1, xd + 1
+        rows += [{xa: one, xb: -one, xc: one, xd: -one},
+                 {ya: one, yb: -one, yc: one, yd: -one},
+                 {xd: one, xa: -one, yb: one, ya: -one},
+                 {yd: one, ya: -one, xb: -one, xa: one}]
+    return rows
 
 
 def _axpy(row: dict, f: Fraction, other: dict) -> None:
@@ -270,13 +247,13 @@ def _axpy(row: dict, f: Fraction, other: dict) -> None:
             del row[i]
 
 
-def _solve_affine(n_vars, rows, rhs, gauge=(), pivots=None):
+def _solve_affine(n_vars, rows, gauge=(), pivots=None):
     """Exact elimination over sparse rows; returns a SolutionSpace, or
     None if the rows are inconsistent.
 
-    ``rows`` are dense, as :func:`build_system` gives them.  Each row is
-    kept as {column: Fraction} with its right-hand side under the key
-    ``n_vars``, and an entry is dropped as soon as it cancels.
+    Each row is {column: Fraction}, as :func:`build_system` gives them,
+    with any nonzero right-hand side under the key ``n_vars``; the rows
+    are copied, and an entry is dropped as soon as it cancels.
     Rows are reduced one at a time against the pivot rows so far, which
     stay in reduced row echelon form: a row's leading column is a new
     pivot, and it is cleared from the earlier pivot rows.  ``pivots``
@@ -288,10 +265,8 @@ def _solve_affine(n_vars, rows, rhs, gauge=(), pivots=None):
     """
     pivots = {} if pivots is None else {
         col: dict(piv) for col, piv in pivots.items()}
-    for dense, b in zip(rows, rhs):
-        row = {i: c for i, c in enumerate(dense) if c}
-        if b:
-            row[n_vars] = b
+    for row in rows:
+        row = dict(row)
         for col in [c for c in row if c in pivots]:
             _axpy(row, -row[col], pivots[col])
         if not row:
@@ -327,8 +302,7 @@ def solve_space(oss: OrientedSquareSet) -> SolutionSpace:
     Its pivot rows let :func:`solve_gauged` continue from this reduction
     instead of reducing the square system again.
     """
-    sys = build_system(oss)
-    space = _solve_affine(sys.n_vars, sys.rows, sys.rhs)
+    space = _solve_affine(2 * oss.order, build_system(oss))
     if space is None:
         raise RuntimeError("homogeneous system cannot be inconsistent")
     return space
@@ -363,16 +337,9 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
                          f"{oss.order} system from solve_space")
     zero = Fraction(0)
     one = Fraction(1)
-    rows, rhs = [], []
-    for col, val in (
-            (2 * (a - 1), zero), (2 * (a - 1) + 1, zero),
-            (2 * (b - 1), zero), (2 * (b - 1) + 1, one)):
-        row = [zero] * n_vars
-        row[col] = one
-        rows.append(row)
-        rhs.append(val)
-    gauge_info = ((a, zero, zero), (b, zero, one))
-    gauged = _solve_affine(n_vars, rows, rhs, gauge_info,
+    xa, xb = 2 * (a - 1), 2 * (b - 1)
+    rows = [{xa: one}, {xa + 1: one}, {xb: one}, {xb + 1: one, n_vars: one}]
+    gauged = _solve_affine(n_vars, rows, ((a, zero, zero), (b, zero, one)),
                            pivots=space._pivots)
     if gauged is None:
         raise ValueError(
@@ -402,15 +369,6 @@ def _add(f, g):
     return f[0] + g[0], tuple(p + q for p, q in zip(f[1], g[1]))
 
 
-def _point_table(space: SolutionSpace) -> list:
-    """Each label's point as its two coordinate forms: entry j - 1 holds
-    (x_j, y_j).  Two labels coincide in every solution exactly when
-    their entries are equal."""
-    return [(_form_on_space(space, ((2 * j, 1),)),
-             _form_on_space(space, ((2 * j + 1, 1),)))
-            for j in range(len(space.particular) // 2)]
-
-
 def _completion(table, a: int, b: int):
     """The points (z_c, z_d) that make (a, b, c, d) a counterclockwise
     square: z_d = z_a + i(z_b - z_a) and z_c = z_b + z_d - z_a."""
@@ -427,9 +385,7 @@ def _offsets(table, j: int, z) -> list:
 def degenerate_pairs(oss: OrientedSquareSet,
                      space: SolutionSpace | None = None):
     """Label pairs whose points coincide in every solution."""
-    if space is None:
-        space = solve_space(oss)
-    table = _point_table(space)
+    table = (space or solve_space(oss)).table
     return tuple(
         (j, k) for j, k in itertools.combinations(range(1, oss.order + 1), 2)
         if table[j - 1] == table[k - 1])
@@ -448,9 +404,7 @@ def forced_squares(oss: OrientedSquareSet,
     labels make many quadruples vanish vacuously, and
     :func:`is_realizable` reports no forced squares.
     """
-    if space is None:
-        space = solve_space(oss)
-    table = _point_table(space)
+    table = (space or solve_space(oss)).table
     labels: dict = {}
     for j, point in enumerate(table, start=1):
         labels.setdefault(point, []).append(j)
@@ -511,25 +465,45 @@ def verify_realization(oss: OrientedSquareSet, points) -> bool:
     return True
 
 
-def _collinear(order: int) -> tuple[RatPoint, ...]:
-    """Distinct points on a line: a realization spanning no squares."""
-    return tuple((Fraction(i), Fraction(0)) for i in range(order))
+def _witness(oss: OrientedSquareSet, space: SolutionSpace,
+             allowed=None) -> tuple[RatPoint, ...]:
+    """A realization of a realizable set, verified geometrically.
 
-
-def _distinctness_groups(table) -> list:
-    return [_offsets(table, j, table[k - 1])
-            for j, k in itertools.combinations(range(1, len(table) + 1), 2)]
+    ``space`` is the set's unrestricted space.  The witness is the first
+    point of the moment curve on the gauged space (see
+    :func:`rationalize`) where all labels are distinct; a set without
+    squares gets distinct points on a line instead, which span no
+    square.  With ``allowed``, a set of quadruples, every other oriented
+    4-cycle (a, b, c, d), a smallest, is avoided too, by keeping z_c or
+    z_d off the completion of (a, b).
+    """
+    if oss.squares:
+        gauged = solve_gauged(oss, space=space)
+        table = gauged.table
+        pairs = list(itertools.combinations(range(1, oss.order + 1), 2))
+        groups = [_offsets(table, j, table[k - 1]) for j, k in pairs]
+        if allowed is not None:
+            for a, b in pairs:
+                zc, zd = _completion(table, a, b)
+                rest = [v for v in range(a + 1, oss.order + 1) if v != b]
+                for c, d in itertools.permutations(rest, 2):
+                    if (a, b, c, d) not in allowed:
+                        groups.append(
+                            _offsets(table, c, zc) + _offsets(table, d, zd))
+        witness = tuple(gauged.points_at(rationalize(gauged, groups)))
+    else:
+        witness = tuple((Fraction(i), Fraction(0)) for i in range(oss.order))
+    if not verify_realization(oss, witness):
+        raise RuntimeError("witness fails geometric verification")
+    return witness
 
 
 def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
     """Decide realizability; construct a rational witness when positive.
 
     The set is realizable exactly when no two labels share their point
-    forms on the unrestricted solution space.  The witness is the first
-    point of the moment curve on the gauged space (see
-    :func:`rationalize`) where all labels are distinct, and it is
-    verified geometrically before being reported; a system without
-    squares gets distinct points on a line instead.
+    forms on the unrestricted solution space.  The witness comes from
+    the gauged space and is verified before being reported.
     """
     space = solve_space(oss)
     degenerate = degenerate_pairs(oss, space)
@@ -537,44 +511,20 @@ def is_realizable(oss: OrientedSquareSet) -> RealizabilityReport:
         return RealizabilityReport(
             realizable=False, dimension=space.dimension, witness=None,
             degenerate_pairs=degenerate, forced_squares=())
-    if oss.squares:
-        gauged = solve_gauged(oss, space=space)
-        params = rationalize(
-            gauged, _distinctness_groups(_point_table(gauged)))
-        witness = tuple(gauged.points_at(params))
-    else:
-        witness = _collinear(oss.order)
-    if not verify_realization(oss, witness):
-        raise RuntimeError("witness fails geometric verification")
     return RealizabilityReport(
-        realizable=True, dimension=space.dimension, witness=witness,
-        degenerate_pairs=(), forced_squares=forced_squares(oss, space))
+        realizable=True, dimension=space.dimension,
+        witness=_witness(oss, space), degenerate_pairs=(),
+        forced_squares=forced_squares(oss, space))
 
 
 def strict_witness(oss: OrientedSquareSet) -> tuple[RatPoint, ...]:
     """A realization spanning no squares beyond the set and its forced
-    squares: every other oriented 4-cycle (a, b, c, d), a smallest, is
-    avoided by keeping z_c or z_d off the completion of (a, b)."""
+    squares."""
     space = solve_space(oss)
     if degenerate_pairs(oss, space):
         raise ValueError("oriented square set is not realizable")
-    if not oss.squares:
-        return _collinear(oss.order)
-    allowed = set(oss.squares) | set(forced_squares(oss, space))
-    gauged = solve_gauged(oss, space=space)
-    table = _point_table(gauged)
-    groups = _distinctness_groups(table)
-    for a, b in itertools.combinations(range(1, oss.order + 1), 2):
-        zc, zd = _completion(table, a, b)
-        rest = [v for v in range(a + 1, oss.order + 1) if v != b]
-        for c, d in itertools.permutations(rest, 2):
-            if (a, b, c, d) not in allowed:
-                groups.append(_offsets(table, c, zc) + _offsets(table, d, zd))
-    params = rationalize(gauged, groups)
-    witness = tuple(gauged.points_at(params))
-    if not verify_realization(oss, witness):
-        raise RuntimeError("strict witness fails geometric verification")
-    return witness
+    return _witness(oss, space,
+                    set(oss.squares) | set(forced_squares(oss, space)))
 
 
 # ---------------------------------------------------------------------------

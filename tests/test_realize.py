@@ -82,21 +82,22 @@ class TestOrientedSquareSet:
 
 class TestLinearSystem:
     def test_four_rows_per_square(self):
-        system = build_system(FOUR_SQUARES_10)
-        assert system.n_vars == 20
-        assert len(system.rows) == 16
-        assert all(r == 0 for r in system.rhs)
+        rows = build_system(FOUR_SQUARES_10)
+        assert len(rows) == 16
+        # homogeneous: no entry under the right-hand-side key 20
+        assert all(max(row) < 20 and len(row) == 4 for row in rows)
 
     def test_row_structure_single_square(self):
         oss = OrientedSquareSet(order=4, squares=((1, 2, 3, 4),))
-        rows = build_system(oss).rows
+        rows = build_system(oss)
         # closing condition on real parts: x1 - x2 + x3 - x4 = 0
-        assert rows[0] == (1, 0, -1, 0, 1, 0, -1, 0)
+        assert rows[0] == {0: 1, 2: -1, 4: 1, 6: -1}
         # and on imaginary parts: y1 - y2 + y3 - y4 = 0
-        assert rows[1] == (0, 1, 0, -1, 0, 1, 0, -1)
+        assert rows[1] == {1: 1, 3: -1, 5: 1, 7: -1}
         # quarter-turn conditions tie the fourth vertex to the second
-        assert rows[2] == (-1, -1, 0, 1, 0, 0, 1, 0)
-        assert rows[3] == (1, -1, -1, 0, 0, 0, 0, 1)
+        assert rows[2] == {0: -1, 1: -1, 3: 1, 6: 1}
+        assert rows[3] == {0: 1, 1: -1, 2: -1, 7: 1}
+        assert all(type(c) is Fraction for row in rows for c in row.values())
 
     def test_unconstrained_space_contains_translations(self):
         space = solve_space(FOUR_SQUARES_10)
@@ -336,6 +337,38 @@ class TestOneElimination:
         assert full_reductions[0] == 1
 
 
+class TestOneTablePerSpace:
+    """A solution space writes each label's point as two forms once: a
+    realizable call with squares builds the unrestricted and the gauged
+    table, 4 * order forms, and a non-realizable one only the first."""
+
+    @pytest.fixture
+    def forms(self, monkeypatch):
+        original = squarespan.realize._form_on_space
+        count = [0]
+
+        def counting(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(squarespan.realize, "_form_on_space", counting)
+        return count
+
+    @pytest.mark.parametrize("call", [is_realizable, strict_witness,
+                                      grid_embed])
+    @pytest.mark.parametrize(("oss", "expected"), [
+        pytest.param(TWO_SQUARES_7, 28, id="two-squares-7"),
+        pytest.param(FOUR_SQUARES_10, 40, id="four-squares-10"),
+    ])
+    def test_two_tables_when_realizable(self, forms, call, oss, expected):
+        call(oss)
+        assert forms[0] == expected
+
+    def test_one_table_when_not_realizable(self, forms):
+        assert not is_realizable(FIVE_SQUARES_10).realizable
+        assert forms[0] == 20
+
+
 class TestGridEmbedding:
     def test_single_square(self):
         oss = OrientedSquareSet(order=4, squares=((1, 2, 3, 4),))
@@ -404,19 +437,27 @@ def reference_solve_affine(n_vars, rows, rhs, gauge=()):
                          gauge=tuple(gauge))
 
 
+def dense_system(oss):
+    """build_system's sparse rows as (n_vars, dense rows, right-hand
+    sides) for the reference solver."""
+    n_vars = 2 * oss.order
+    rows = [[row.get(i, Fraction(0)) for i in range(n_vars)]
+            for row in build_system(oss)]
+    return n_vars, rows, [Fraction(0)] * len(rows)
+
+
 def reference_gauged(oss, gauge):
     """The gauged space from one dense elimination of the square rows
     followed by the four gauge rows z_a = 0, z_b = i."""
     a, b = gauge
-    system = build_system(oss)
+    n_vars, rows, rhs = dense_system(oss)
     zero, one = Fraction(0), Fraction(1)
-    rows, rhs = list(system.rows), list(system.rhs)
     for col, val in ((2 * (a - 1), zero), (2 * (a - 1) + 1, zero),
                      (2 * (b - 1), zero), (2 * (b - 1) + 1, one)):
         rows.append(tuple(one if i == col else zero
-                          for i in range(system.n_vars)))
+                          for i in range(n_vars)))
         rhs.append(val)
-    return reference_solve_affine(system.n_vars, rows, rhs,
+    return reference_solve_affine(n_vars, rows, rhs,
                                   ((a, zero, zero), (b, zero, one)))
 
 
@@ -500,9 +541,7 @@ class TestAgainstReferenceScans:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_space_matches_reference(self, name):
-        system = build_system(ORACLE_SYSTEMS[name])
-        expected = reference_solve_affine(system.n_vars, system.rows,
-                                          system.rhs)
+        expected = reference_solve_affine(*dense_system(ORACLE_SYSTEMS[name]))
         assert repr(solve_space(ORACLE_SYSTEMS[name])) == repr(expected)
 
     @pytest.mark.parametrize(("name", "gauge"), [

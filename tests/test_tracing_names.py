@@ -32,6 +32,26 @@ def test_every_traced_function_resolves():
         assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
 
 
+def _callers(tree, callee):
+    """The qualified names of the functions, methods included, that call
+    ``callee`` by name; None for a call outside any function."""
+    callers = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Name) \
+                    and child.func.id == callee:
+                callers.add(name)
+            visit(child, name)
+
+    visit(tree, None)
+    return callers
+
+
 REALIZE = Path(__file__).resolve().parents[1] / "src" / "squarespan" / "realize.py"
 ELIMINATION = "_solve_affine"
 
@@ -45,12 +65,16 @@ def test_elimination_runs_inside_the_solve_span():
     defined = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef)}
     assert ELIMINATION in defined
-    callers = set()
-    for node in tree.body:
-        name = node.name if isinstance(node, ast.FunctionDef) else None
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
-                    and sub.func.id == ELIMINATION:
-                callers.add(name)
+    callers = _callers(tree, ELIMINATION)
     assert callers, "no caller of the elimination routine found"
     assert callers <= spanned, sorted(map(str, callers - spanned))
+
+
+FORM = "_form_on_space"
+TABLE_BUILDER = "SolutionSpace.table"
+
+
+def test_forms_are_written_only_by_the_label_table():
+    # The realize.forms counter reads 2 * order per solution space only
+    # while the label table is the one place that writes forms.
+    assert _callers(ast.parse(REALIZE.read_text()), FORM) == {TABLE_BUILDER}
