@@ -479,20 +479,18 @@ def _reachable(cnt, n: int) -> list[int]:
     return reach
 
 
-def ilp_assignment_from_pointset(ps: PointSet, n: int | None = None,
+def ilp_assignment_from_pointset(ps: PointSet,
                                  variant: str = "base") -> IlpAssignment:
     """The assignment a concrete point set induces, with verification.
 
-    Labels follow lexicographic point order; x_S records whether the
-    triple spans a rit and y_{t,T} whether the restriction to T is
-    1-extension reachable.  Every constraint of the chosen variant is
+    The program's size n is the number of points, and labels follow
+    lexicographic point order; x_S records whether the triple spans a
+    rit and y_{t,T} whether the restriction to T is 1-extension
+    reachable.  Every constraint of the chosen variant is
     evaluated on the assignment.  Infeasibility under the base variant
     is impossible by construction, so it raises instead of reporting.
     """
-    if n is None:
-        n = len(ps)
-    if len(ps) != n:
-        raise ValueError("point count must equal n")
+    n = len(ps)
     _check_ilp_args(n, variant)
     x, cnt = _rit_counts(ps.points, n)
     reach = _reachable(cnt, n)

@@ -2,9 +2,11 @@
 
 A 1-extension adds, for some pair of points, one of the six third vertices
 completing an isosceles right triangle on the pair; a 2-extension adds the
-missing vertices (one or two) of a square completed from a pair.  Whenever
-a completion is half-integer the whole set is doubled first, so everything
-stays on the integer grid.
+missing vertices (one or two) of a square completed from a pair.  The
+completions follow the doubled-coordinate convention of
+:func:`squarespan.geometry.pair_completions`; whenever a completion is
+half-integer the whole set is doubled first, so everything stays on the
+integer grid.
 
 One child generator, ``_children``, serves both the breadth-first
 enumerator here and the beam search in :mod:`squarespan.beam`.  It scores
@@ -29,20 +31,19 @@ set.  Children without a root are pruned before storage and expansion,
 so a class is counted exactly when some 2-extension chain from the unit
 square passes through neighborhood point sets only; the root is free to
 move from level to level.  delta_max records the largest root degree
-per cell.
+per cell.  Neighborhoods and decompositions at a point live in
+:mod:`squarespan.geometry`.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from squarespan.geometry import (
     Point,
     PointSet,
-    decomposition_at,
-    neighborhood_graph,
+    pair_completions,
     rits_of,
     squares_of,
 )
@@ -56,11 +57,11 @@ MODES = ("rit-1ext", "square-2ext", "neighborhood-2ext")
 
 
 # ---------------------------------------------------------------------------
-# Candidate sweeps (doubled coordinates).
+# Candidate sweeps.
 #
-# Candidates are keyed by doubled coordinates (2x, 2y) so that half-integer
-# completions stay integral; a candidate is a grid point iff both doubled
-# coordinates are even.
+# Candidates are keyed by the doubled coordinates of the pair-completion
+# convention in ``squarespan.geometry``: the square sweep calls
+# ``pair_completions``, and the rit sweep writes its six points inline.
 # ---------------------------------------------------------------------------
 
 
@@ -92,19 +93,6 @@ def _rit_candidates(pts, member):
     return tally
 
 
-def _pair_completions(x1, y1, x2, y2):
-    """The three completion pairs of a point pair, in doubled coordinates."""
-    dx = x2 - x1
-    dy = y2 - y1
-    sx = x1 + x2
-    sy = y1 + y2
-    return (
-        ((sx - dy, sy + dx), (sx + dy, sy - dx)),
-        ((2 * (x2 + dy), 2 * (y2 - dx)), (2 * (x1 + dy), 2 * (y1 - dx))),
-        ((2 * (x2 - dy), 2 * (y2 + dx)), (2 * (x1 - dy), 2 * (y1 + dx))),
-    )
-
-
 def _square_candidates(pts, member):
     """Candidate tallies for 2-extension of a parent set.
 
@@ -120,7 +108,7 @@ def _square_candidates(pts, member):
         x1, y1 = pts[i]
         for j in range(i + 1, n):
             x2, y2 = pts[j]
-            for r, s in _pair_completions(x1, y1, x2, y2):
+            for r, s in pair_completions(x1, y1, x2, y2):
                 r_in = not (r[0] & 1 or r[1] & 1) \
                     and (r[0] >> 1, r[1] >> 1) in member
                 s_in = not (s[0] & 1 or s[1] & 1) \
@@ -447,52 +435,3 @@ def is_2ext_obtainable(ps: PointSet) -> bool:
 def maximal_2ext_subconfig(ps: PointSet) -> PointSet:
     """A maximum-cardinality 2-extension-obtainable subset of P."""
     return _maximal_closure(ps, squares_of(ps), "square")
-
-
-# ---------------------------------------------------------------------------
-# Neighborhoods and decompositions.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Parts {p} + component of the neighborhood graph at the root point.
-
-    ``square_closed[i]`` reports whether every square of the input meets
-    part i in 0, 1 or 4 vertices (the condition under which the part
-    behaves like an independent 2-extension component).
-    """
-
-    root: Point
-    parts: tuple[PointSet, ...]
-    square_closed: tuple[bool, ...]
-
-
-def neighborhood(ps: PointSet, p: Point) -> PointSet:
-    """p together with all vertices of squares through p."""
-    vertices, _ = neighborhood_graph(ps, p)
-    return PointSet.of([p] + vertices)
-
-
-def decompose_at(ps: PointSet, p: Point) -> Decomposition:
-    """Split the neighborhood of p into its graph components.
-
-    Requires P to equal the neighborhood of p (restrict first); validates
-    that parts pairwise intersect in {p} and that every square through p
-    lies inside a single part.
-    """
-    if neighborhood(ps, p).member_set != ps.member_set:
-        raise ValueError("point set is not the neighborhood of p")
-    parts = tuple(decomposition_at(ps, p))
-    for a, b in itertools.combinations(parts, 2):
-        if a.member_set & b.member_set != {p}:
-            raise RuntimeError("two parts meet outside the root point")
-    sqs = squares_of(ps)
-    for sq in sqs:
-        if p in sq and not any(all(v in part.member_set for v in sq)
-                               for part in parts):
-            raise RuntimeError("a square through the root spans two parts")
-    closed = tuple(
-        all(sum(v in part.member_set for v in sq) in (0, 1, 4) for sq in sqs)
-        for part in parts)
-    return Decomposition(root=p, parts=parts, square_closed=closed)

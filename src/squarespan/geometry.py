@@ -3,7 +3,9 @@
 All coordinates are Python ints (arbitrary precision), all predicates are
 exact.  The two counting routines for each figure type are deliberately
 independent implementations (completion-based and subset-scan) so that one
-can serve as an oracle for the other.
+can serve as an oracle for the other.  The module also holds the one
+pair-completion primitive, ``pair_completions`` in doubled coordinates,
+and the one decomposition of a set at a point, ``decompose_at``.
 
 Conventions used throughout the package:
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 Point = tuple[int, int]
@@ -32,11 +33,20 @@ class PointSet:
 
     @classmethod
     def of(cls, pts) -> "PointSet":
-        """Build a PointSet from any iterable of (x, y) pairs, deduplicating."""
-        seen = sorted(set((int(x), int(y)) for x, y in pts))
+        """Build a PointSet from any iterable of (x, y) pairs, deduplicating.
+
+        Coordinates must have integral values; any other value raises
+        ValueError instead of being truncated.
+        """
+        seen = set()
+        for x, y in pts:
+            ix, iy = int(x), int(y)
+            if ix != x or iy != y:
+                raise ValueError(f"non-integral point ({x}, {y})")
+            seen.add((ix, iy))
         if not seen:
             raise ValueError("empty point set")
-        return cls(tuple(seen))
+        return cls(tuple(sorted(seen)))
 
     @cached_property
     def member_set(self) -> frozenset[Point]:
@@ -78,77 +88,38 @@ def is_square(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Square / rit completions for a pair of points.
+# Pair completions, in doubled coordinates.
 #
-# For p1, p2 with difference (dx, dy) the left normal is L = (-dy, dx).
-# The six third vertices completing a rit on the pair are, in fixed order:
-#   p1+L, p2+L, p1-L, p2-L, M+L/2, M-L/2       (M = midpoint)
-# and the last two are exactly the completions of a square having the pair
-# as a diagonal.  Treating the pair as an edge gives one square per side.
+# For p1, p2 with difference (dx, dy), sum (sx, sy) and left normal
+# L = (-dy, dx), a square on the pair has it either as a diagonal or as
+# an edge.  Its two missing vertices, doubled so that a half-integer
+# diagonal completion stays an integer point, come in this fixed order:
+#   diagonal pair   (2M + L, 2M - L)          M = (p1 + p2) / 2
+#   edge pair       (2(p2 - L), 2(p1 - L))
+#   edge pair       (2(p2 + L), 2(p1 + L))
+# A doubled point is a grid point iff both of its coordinates are even.
+# The six points are exactly the third vertices completing a rit on the
+# pair: p1 +- L and p2 +- L put the right angle at p1 or p2, M +- L/2 put
+# it at the new vertex.  ``count_squares``, ``squares_of``, ``count_rit``
+# and the rit sweep in ``squarespan.extension`` follow this convention
+# with the arithmetic inline, because a call per pair measurably slows
+# them.
 # ---------------------------------------------------------------------------
 
 
-def _half(n: int):
-    """n/2 as an int when exact, else a Fraction."""
-    return n // 2 if n % 2 == 0 else Fraction(n, 2)
+def pair_completions(x1: int, y1: int, x2: int, y2: int):
+    """The three completion pairs of a point pair, in doubled coordinates.
 
-
-def square_completions_diagonal(p1: Point, p2: Point):
-    """The two points completing a square with {p1, p2} as a diagonal.
-
-    Returned in the fixed order (M + L/2, M - L/2); coordinates are ints or
-    Fractions with denominator 2 depending on the parity of p1 + p2.
+    Diagonal pair first, then the two edge pairs, as in the block above.
     """
-    (x1, y1), (x2, y2) = p1, p2
-    if p1 == p2:
-        raise ValueError("degenerate pair")
-    ax, ay = x1 + x2 - (y2 - y1), y1 + y2 + (x2 - x1)
-    bx, by = x1 + x2 + (y2 - y1), y1 + y2 - (x2 - x1)
-    return (_half(ax), _half(ay)), (_half(bx), _half(by))
-
-
-def square_completions_edge(p1: Point, p2: Point):
-    """The two squares having {p1, p2} as an edge, one per side.
-
-    Returns ((p3+, p4+), (p3-, p4-)) where the +/- sign picks the side; all
-    coordinates are integers.
-    """
-    (x1, y1), (x2, y2) = p1, p2
-    if p1 == p2:
-        raise ValueError("degenerate pair")
-    dy, dx = y2 - y1, x1 - x2
-    plus = ((x2 + dy, y2 + dx), (x1 + dy, y1 + dx))
-    minus = ((x2 - dy, y2 - dx), (x1 - dy, y1 - dx))
-    return plus, minus
-
-
-def complete_square_from_pair(p1: Point, p2: Point):
-    """The three point pairs completing a square on {p1, p2}.
-
-    Returns (diagonal pair, edge pair one side, edge pair other side); the
-    diagonal completions may have half-integer (Fraction) coordinates.
-    """
-    plus, minus = square_completions_edge(p1, p2)
-    return square_completions_diagonal(p1, p2), plus, minus
-
-
-def rit_third_vertices(p1: Point, p2: Point):
-    """The six third vertices completing a rit on the pair {p1, p2}.
-
-    Fixed order: p1+L, p2+L, p1-L, p2-L, M+L/2, M-L/2 with L the left
-    normal of p2-p1 and M the midpoint.  The last two may have half-integer
-    (Fraction) coordinates.
-    """
-    (x1, y1), (x2, y2) = p1, p2
-    lx, ly = -(y2 - y1), x2 - x1
-    apex1, apex2 = square_completions_diagonal(p1, p2)
+    dx = x2 - x1
+    dy = y2 - y1
+    sx = x1 + x2
+    sy = y1 + y2
     return (
-        (x1 + lx, y1 + ly),
-        (x2 + lx, y2 + ly),
-        (x1 - lx, y1 - ly),
-        (x2 - lx, y2 - ly),
-        apex1,
-        apex2,
+        ((sx - dy, sy + dx), (sx + dy, sy - dx)),
+        ((2 * (x2 + dy), 2 * (y2 - dx)), (2 * (x1 + dy), 2 * (y1 - dx))),
+        ((2 * (x2 - dy), 2 * (y2 + dx)), (2 * (x1 - dy), 2 * (y1 + dx))),
     )
 
 
@@ -172,6 +143,7 @@ def count_squares(ps: PointSet) -> int:
         x1, y1 = pts[i]
         for j in range(i + 1, n):
             x2, y2 = pts[j]
+            # the diagonal pair of pair_completions, inline
             ax = x1 + x2 - y2 + y1
             if ax & 1:
                 continue  # half-integer completions cannot be grid points
@@ -205,6 +177,7 @@ def count_rit(ps: PointSet) -> int:
         x1, y1 = pts[i]
         for j in range(i + 1, n):
             x2, y2 = pts[j]
+            # the six points of pair_completions, inline and undoubled
             lx, ly = -(y2 - y1), x2 - x1
             if (x1 + lx, y1 + ly) in member:
                 found += 1
@@ -269,6 +242,7 @@ def squares_of(ps: PointSet) -> list[tuple[Point, Point, Point, Point]]:
         for j in range(i + 1, n):
             p2 = pts[j]
             x2, y2 = p2
+            # the diagonal pair of pair_completions, inline
             ax = x1 + x2 - y2 + y1
             if ax & 1:
                 continue
@@ -391,13 +365,37 @@ def neighborhood_graph(ps: PointSet, p: Point):
     return sorted(vertices), sorted(edges)
 
 
-def decomposition_at(ps: PointSet, p: Point) -> list[PointSet]:
-    """Parts {p} + C for the components C of the neighborhood graph of p.
+def neighborhood(ps: PointSet, p: Point) -> PointSet:
+    """p together with all vertices of squares through p."""
+    vertices, _ = neighborhood_graph(ps, p)
+    return PointSet.of([p] + vertices)
 
-    Returned in lexicographic order of their point tuples.  Points sharing
-    no square with p appear in no part.
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Parts {p} + C for the components C of the neighborhood graph at
+    the root point p, in lexicographic order of their point tuples.
+
+    ``square_closed[i]`` reports whether every square of the input meets
+    part i in 0, 1 or 4 vertices (the condition under which the part
+    behaves like an independent 2-extension component).
+    """
+
+    root: Point
+    parts: tuple[PointSet, ...]
+    square_closed: tuple[bool, ...]
+
+
+def decompose_at(ps: PointSet, p: Point) -> Decomposition:
+    """Split the neighborhood of p into its graph components.
+
+    Requires P to equal the neighborhood of p (restrict first); validates
+    that parts pairwise intersect in {p} and that every square through p
+    lies inside a single part.
     """
     vertices, edges = neighborhood_graph(ps, p)
+    if len(vertices) + 1 != len(ps):  # vertices is a subset of P - {p}
+        raise ValueError("point set is not the neighborhood of p")
     adj: dict[Point, list[Point]] = {v: [] for v in vertices}
     for a, b in edges:
         adj[a].append(b)
@@ -418,21 +416,16 @@ def decomposition_at(ps: PointSet, p: Point) -> list[PointSet]:
         seen |= comp
         comp.add(p)
         parts.append(PointSet.of(comp))
-    return sorted(parts, key=lambda part: part.points)
-
-
-def squares_meeting_parts(ps: PointSet, parts) -> list[tuple[Point, ...]]:
-    """Squares of the set meeting some part in 2 or 3 vertices.
-
-    An empty result certifies the decomposition condition that every
-    spanned square intersects each part in 0, 1 or 4 vertices.
-    """
-    offending = []
-    part_sets = [part.member_set for part in parts]
-    for sq in squares_of(ps):
-        for members in part_sets:
-            hit = sum(1 for v in sq if v in members)
-            if hit in (2, 3):
-                offending.append(sq)
-                break
-    return offending
+    parts.sort(key=lambda part: part.points)
+    for a, b in itertools.combinations(parts, 2):
+        if a.member_set & b.member_set != {p}:
+            raise RuntimeError("two parts meet outside the root point")
+    sqs = squares_of(ps)
+    for sq in sqs:
+        if p in sq and not any(all(v in part.member_set for v in sq)
+                               for part in parts):
+            raise RuntimeError("a square through the root spans two parts")
+    closed = tuple(
+        all(sum(v in part.member_set for v in sq) in (0, 1, 4) for sq in sqs)
+        for part in parts)
+    return Decomposition(root=p, parts=tuple(parts), square_closed=closed)

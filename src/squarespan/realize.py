@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 from squarespan.geometry import PointSet, sqdist, squares_of
 from squarespan.similarity import normalize_to_grid
@@ -551,10 +551,7 @@ def grid_embed(oss: OrientedSquareSet) -> GridEmbedding:
     report = is_realizable(oss)
     if not report.realizable:
         raise ValueError("oriented square set is not realizable")
-    denom = 1
-    for x, y in report.witness:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-        denom = denom * y.denominator // gcd(denom, y.denominator)
+    denom = lcm(*(c.denominator for p in report.witness for c in p))
     ints = PointSet.of((int(x * denom), int(y * denom))
                        for x, y in report.witness)
     ints = normalize_to_grid(ints)

@@ -3,18 +3,22 @@ import pytest
 import squarespan.extension
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.extension import (
-    decompose_at,
     enumerate_classes,
     is_1ext_obtainable,
     is_2ext_obtainable,
     maximal_1ext_subconfig,
     maximal_2ext_subconfig,
-    neighborhood,
     one_extensions,
     root_degrees,
     two_extensions,
 )
-from squarespan.geometry import PointSet, count_rit, count_squares
+from squarespan.geometry import (
+    PointSet,
+    count_rit,
+    count_squares,
+    decompose_at,
+    neighborhood,
+)
 from squarespan.similarity import centered_key
 from squarespan.tables import (
     NEIGHBORHOOD_2EXT_CLASSES,

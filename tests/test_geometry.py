@@ -3,32 +3,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.geometry import (
     PointSet,
     classify_pair,
-    complete_square_from_pair,
     count_axis_parallel_squares,
     count_rit,
     count_rit_subsets,
     count_squares,
     count_squares_subsets,
-    decomposition_at,
+    decompose_at,
     is_reduced,
     is_rit,
     is_square,
     leftmost_edge_conflicts,
     neighborhood_graph,
-    rit_third_vertices,
+    pair_completions,
     rits_of,
     sqdist,
-    square_completions_diagonal,
-    square_completions_edge,
     square_degrees,
-    squares_meeting_parts,
     squares_of,
     srit_minus_3sq,
 )
@@ -47,6 +43,20 @@ class TestPointSet:
         ps = PointSet.of([(1, 1), (0, 0), (1, 1), (0, 1)])
         assert ps.points == ((0, 0), (0, 1), (1, 1))
         assert len(ps) == 3
+
+    def test_integral_values_accepted(self):
+        ps = PointSet.of([(1.0, 0), (Fraction(4, 2), 1)])
+        assert ps.points == ((1, 0), (2, 1))
+        assert all(type(c) is int for p in ps for c in p)
+
+    @pytest.mark.parametrize("pts", [
+        [(0.5, 0), (1, 1)],
+        [(Fraction(1, 2), 0), (Fraction(3, 2), 1)],
+        [(0, 0), (1, -0.25)],
+    ])
+    def test_non_integral_rejected(self, pts):
+        with pytest.raises(ValueError):
+            PointSet.of(pts)
 
     def test_membership(self):
         assert (0, 0) in UNIT_SQUARE
@@ -84,49 +94,66 @@ class TestPredicates:
         assert is_square((0, 1), (1, 2), (2, 1), (1, 0))
 
 
+def halved(pair):
+    """A doubled-coordinate pair back in plane coordinates."""
+    return tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in pair)
+
+
 class TestCompletions:
     def test_diagonal_fixed_order(self):
-        assert square_completions_diagonal((0, 0), (2, 0)) == ((1, 1), (1, -1))
+        assert pair_completions(0, 0, 2, 0)[0] == ((2, 2), (2, -2))
 
     def test_diagonal_half_integer(self):
-        a, b = square_completions_diagonal((0, 0), (1, 1))
+        a, b = halved(pair_completions(0, 0, 1, 1)[0])
         assert a == (0, 1) and b == (1, 0)
-        c, d = square_completions_diagonal((0, 0), (1, 0))
+        c, d = halved(pair_completions(0, 0, 1, 0)[0])
         assert c == (Fraction(1, 2), Fraction(1, 2))
         assert d == (Fraction(1, 2), Fraction(-1, 2))
 
     def test_edge_both_sides(self):
-        plus, minus = square_completions_edge((0, 0), (2, 0))
-        assert plus == ((2, -2), (0, -2))
-        assert minus == ((2, 2), (0, 2))
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            square_completions_diagonal((1, 1), (1, 1))
-        with pytest.raises(ValueError):
-            square_completions_edge((1, 1), (1, 1))
+        _, minus, plus = pair_completions(0, 0, 2, 0)
+        assert halved(minus) == ((2, -2), (0, -2))
+        assert halved(plus) == ((2, 2), (0, 2))
 
     def test_three_pairs(self):
-        diag, side_a, side_b = complete_square_from_pair((0, 0), (2, 0))
-        assert diag == ((1, 1), (1, -1))
-        assert side_a == ((2, -2), (0, -2))
-        assert side_b == ((2, 2), (0, 2))
+        assert pair_completions(0, 0, 2, 0) == (
+            ((2, 2), (2, -2)), ((4, -4), (0, -4)), ((4, 4), (0, 4)))
 
     def test_completions_really_complete_squares(self):
         p, q = (1, 2), (4, 3)
-        for pair in complete_square_from_pair(p, q):
-            assert is_square(p, q, *pair)
+        for pair in pair_completions(*p, *q):
+            assert is_square(p, q, *halved(pair))
 
     def test_rit_third_vertices_fixed_order(self):
-        assert rit_third_vertices((0, 0), (2, 0)) == (
+        # Undoubled and regrouped, the six points read p1+L, p2+L, p1-L,
+        # p2-L, M+L/2, M-L/2; each edge pair lists p2's vertex first.
+        diag, minus, plus = (halved(pair)
+                             for pair in pair_completions(0, 0, 2, 0))
+        assert (*plus[::-1], *minus[::-1], *diag) == (
             (0, 2), (2, 2), (0, -2), (2, -2), (1, 1), (1, -1))
 
     def test_rit_third_vertices_complete_rits(self):
         p, q = (0, 1), (3, 2)
-        thirds = rit_third_vertices(p, q)
+        thirds = [t for pair in pair_completions(*p, *q)
+                  for t in halved(pair)]
         assert len(set(thirds)) == 6
         for t in thirds:
             assert is_rit(p, q, t)
+
+    @given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+           st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    def test_completions_property(self, p, q):
+        # With the pair doubled too, each returned pair completes a
+        # square, and the six points are distinct rit third vertices.
+        assume(p != q)
+        dp, dq = (2 * p[0], 2 * p[1]), (2 * q[0], 2 * q[1])
+        pairs = pair_completions(*p, *q)
+        for r, s in pairs:
+            assert is_square(dp, dq, r, s)
+        thirds = [t for pair in pairs for t in pair]
+        assert len(set(thirds)) == 6
+        for t in thirds:
+            assert is_rit(dp, dq, t)
 
 
 class TestCounts:
@@ -262,14 +289,17 @@ class TestNeighborhoodsAndDecompositions:
     def test_decomposition_two_parts(self):
         sub = PointSet.of(
             FORCED_FIFTH[k] for k in (1, 2, 3, 4, 5, 9, 10))
-        parts = decomposition_at(sub, FORCED_FIFTH[2])
-        assert [self.lab(p) for p in parts] == [
+        dec = decompose_at(sub, FORCED_FIFTH[2])
+        assert dec.root == FORCED_FIFTH[2]
+        assert [self.lab(p) for p in dec.parts] == [
             [1, 2, 3, 4], [2, 5, 9, 10]]
-        assert squares_meeting_parts(sub, parts) == []
+        assert dec.square_closed == (True, True)
 
     def test_decomposition_violations_reported(self):
         # Splitting at a point whose parts cut squares 2-3 ways is flagged.
         sub = PointSet.of(FORCED_FIFTH[k] for k in range(2, 11))
-        parts = decomposition_at(sub, FORCED_FIFTH[9])
-        bad = squares_meeting_parts(sub, parts)
-        assert bad  # the square {4,5,6,7} meets one part in 3 vertices
+        dec = decompose_at(sub, FORCED_FIFTH[9])
+        cut = [self.lab(p) for p, closed
+               in zip(dec.parts, dec.square_closed) if not closed]
+        # the square {4,5,6,7} meets that part in 3 vertices
+        assert cut == [[3, 4, 6, 7, 8, 9]]
