@@ -11,13 +11,15 @@ when the search reaches its cardinality.
 Retention is exact: the retained classes are precisely the first
 ``beam_width`` of the deduplicated pool under (score descending, key
 ascending).  Candidates wait in per-score buckets, each as its parent's
-point tuple (shared, not copied) and the one or two points it adds; the
-child's own point tuple is built only when it is keyed.  When too many
-wait, the pool is cut: it keys them from the top score down, stops at
-the first score s with at least ``beam_width`` classes scoring s or
-more, and drops everything below s.  Nothing below s can be retained,
-so s is an exact floor: later candidates under it are neither built nor
-stored, and each level's expansion re-reads the floors chunk by chunk.
+doubled point tuple (made once per parent and shared, not copied) and
+the one or two doubled points it adds; the child is keyed as the two
+joined, which is the child at twice its scale and has its key.  When
+too many wait, the pool is cut: it keys them from the top score down,
+stops at the first score s with at least ``beam_width`` classes scoring
+s or more, and drops everything below s.  Nothing below s can be
+retained, so s is an exact floor: later candidates under it are neither
+built nor stored, and each level's expansion re-reads the floors chunk
+by chunk.
 Finalizing keys what is left the same way.
 
 Every best value is certified on the spot by recounting its witness
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from squarespan.corpus import CorpusRecord, render_grid
-from squarespan.extension import _CHUNK, _child_points, _children
+from squarespan.extension import _CHUNK, _children, _doubled
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     centered_key,
@@ -143,9 +145,9 @@ class _Pool:
     """Candidates of one cardinality, cut at an exact floor when full.
 
     Candidates at or above ``floor`` wait unkeyed in per-score buckets,
-    each as (parent points, new_doubled): the parent's tuple (shared, not
-    copied) and the doubled points ``extension._children`` adds to it.
-    Keyed candidates are held once per class in ``classes`` (key ->
+    each as (parent2, new_doubled): the parent's doubled tuple (shared,
+    not copied) and the doubled points ``extension._children`` adds to
+    it.  Keyed candidates are held once per class in ``classes`` (key ->
     score).  When more than ``cap`` candidates wait, :func:`_rebuild_pool`
     keys them and raises ``floor`` to the highest score with at least
     ``width`` classes at or above it; nothing below that score can be
@@ -167,11 +169,11 @@ class _Pool:
         self.distinct = 0
         self.cuts = 0
 
-    def add(self, score: int, parent: tuple, new_doubled: tuple) -> None:
+    def add(self, score: int, parent2: tuple, new_doubled: tuple) -> None:
         self.collected += 1
         if score < self.floor:
             return
-        self.buckets.setdefault(score, []).append((parent, new_doubled))
+        self.buckets.setdefault(score, []).append((parent2, new_doubled))
         self.stored += 1
         if self.stored > self.cap:
             _rebuild_pool(self)
@@ -183,10 +185,10 @@ def _key_down(pool: _Pool) -> int:
     Stops at the first score s, among waiting buckets and held classes,
     with at least ``pool.width`` classes scoring s or more, and returns
     s; returns ``pool.floor`` when every candidate is keyed without
-    reaching the width.  Each candidate's child points are built just
-    before it is keyed.  Raises RuntimeError when one class turns up at
-    two scores, which would make the scores, and so the retained set,
-    wrong.
+    reaching the width.  Each candidate is keyed as its doubled parent
+    joined with its doubled new points.  Raises RuntimeError when one
+    class turns up at two scores, which would make the scores, and so
+    the retained set, wrong.
     """
     buckets, classes = pool.buckets, pool.classes
     per_score: dict[int, int] = {}
@@ -194,9 +196,9 @@ def _key_down(pool: _Pool) -> int:
         per_score[s] = per_score.get(s, 0) + 1
     above = 0
     for s in sorted(buckets.keys() | per_score.keys(), reverse=True):
-        for parent, new in buckets.pop(s, ()):
+        for parent2, new in buckets.pop(s, ()):
             pool.keyed += 1
-            k = centered_key(_child_points(parent, new)[0])
+            k = centered_key(parent2 + new)
             seen = classes.get(k)
             if seen is None:
                 classes[k] = s
@@ -246,13 +248,16 @@ def _expand_beam_chunk(mode: str, items, floors):
 
     ``floors`` maps a step size (1, and 2 for squares) to the minimal
     child score worth collecting; steps absent from ``floors`` are not
-    produced.  Returns {step: {score: [(parent points, new_doubled),
-    ...]}}, new_doubled being the points the child adds to its parent.
+    produced.  Returns {step: {score: [(parent2, new_doubled), ...]}},
+    parent2 being the parent's points doubled, made once per parent, and
+    new_doubled the doubled points the child adds to it.
     """
     out: dict[int, dict[int, list[tuple]]] = {d: {} for d in floors}
+    square = mode == "square"
     for pts, m in items:
-        for d, s, new in _children(mode == "square", pts, m, floors):
-            out[d].setdefault(s, []).append((pts, new))
+        pts2 = _doubled(pts)
+        for d, s, new in _children(square, pts, pts2, m, floors):
+            out[d].setdefault(s, []).append((pts2, new))
     return out
 
 
@@ -261,8 +266,8 @@ def _collect(sinks, out) -> None:
     for d in sorted(out):
         sink = sinks[d]
         for s in sorted(out[d], reverse=True):
-            for pts, new in out[d][s]:
-                sink.add(s, pts, new)
+            for pts2, new in out[d][s]:
+                sink.add(s, pts2, new)
 
 
 def _reps(retained) -> list[tuple[tuple, int]]:

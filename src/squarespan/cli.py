@@ -127,7 +127,11 @@ def _cmd_canon(args) -> int:
 
 def _cmd_enum(args) -> int:
     threads = _default_threads() if args.threads is None else args.threads
-    table = enumerate_classes(args.mode, args.n_max, threads=threads)
+    table = enumerate_classes(args.mode, args.n_max, threads=threads,
+                              max_level_classes=args.max_level_classes)
+    if not table.complete:
+        print(f"squarespan enum: stopped early: {table.note}",
+              file=sys.stderr)
     if args.json:
         entries = [{"n": n, "m": m, "classes": c}
                    for (n, m), c in sorted(table.entries.items())]
@@ -283,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-max", type=int, required=True)
     sub.add_argument("--threads", type=int,
                      help="worker processes (default $SQUARESPAN_THREADS, 1)")
+    sub.add_argument("--max-level-classes", type=int, metavar="N",
+                     help="stop when a level would hold more than N "
+                          "classes; the output then reports the run as "
+                          "incomplete")
     sub.set_defaults(func=_cmd_enum)
 
     sub = subs.add_parser("beam", help="beam-search lower bounds")

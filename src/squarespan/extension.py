@@ -16,8 +16,10 @@ third-vertex) hit contributes one rit; a new square with three parent
 vertices is hit by three parent pairs, so those tallies are divided by
 three, while a square with two parent vertices is hit exactly once.  The
 caller names the steps to produce and a score floor for each.  A child
-comes as its one or two added points, and ``_child_points`` builds it:
-the enumerator builds every child it gets, the beam only those it keys.
+comes as its one or two added points in doubled coordinates, and the
+callers key it as the doubled parent plus those points: the child at
+twice its scale, whose similarity key is the child's.  The enumerator
+keys every child it gets, the beam only those its pools reach.
 The enumerator's per-chunk work runs through ``_map_chunks``, serially
 or in a process pool.
 
@@ -62,43 +64,48 @@ MODES = ("rit-1ext", "square-2ext", "neighborhood-2ext")
 # Candidates are keyed by the doubled coordinates of the pair-completion
 # convention in ``squarespan.geometry``: the square sweep calls
 # ``pair_completions``, and the rit sweep writes its six points inline.
+# Both test membership against the parent's doubled points, so a
+# half-integer candidate needs no parity test of its own.
 # ---------------------------------------------------------------------------
 
 
-def _rit_candidates(pts, member):
-    """Map doubled candidate -> number of new rits it completes."""
+def _doubled(pts) -> tuple[Point, ...]:
+    """The points with both coordinates doubled, in the same order."""
+    return tuple([(2 * x, 2 * y) for x, y in pts])
+
+
+def _rit_candidates(pts2, member2):
+    """Map doubled candidate -> number of new rits it completes.
+
+    ``pts2`` and ``member2`` are the parent's points doubled, as a tuple
+    and as a set.  On doubled points the four third vertices with the
+    right angle at p1 or p2 come out doubled already, and the two with
+    the right angle at the new vertex are half the doubled sums.
+    """
     tally: dict[Point, int] = {}
-    n = len(pts)
+    n = len(pts2)
     for i in range(n):
-        x1, y1 = pts[i]
+        x1, y1 = pts2[i]
         for j in range(i + 1, n):
-            x2, y2 = pts[j]
+            x2, y2 = pts2[j]
             lx = y1 - y2
             ly = x2 - x1
-            for cx, cy in ((x1 + lx, y1 + ly), (x2 + lx, y2 + ly),
-                           (x1 - lx, y1 - ly), (x2 - lx, y2 - ly)):
-                if (cx, cy) not in member:
-                    d = (2 * cx, 2 * cy)
+            for d in ((x1 + lx, y1 + ly), (x2 + lx, y2 + ly),
+                      (x1 - lx, y1 - ly), (x2 - lx, y2 - ly),
+                      ((x1 + x2 + lx) >> 1, (y1 + y2 + ly) >> 1),
+                      ((x1 + x2 - lx) >> 1, (y1 + y2 - ly) >> 1)):
+                if d not in member2:
                     tally[d] = tally.get(d, 0) + 1
-            ax = x1 + x2 + lx
-            ay = y1 + y2 + ly
-            if ax & 1 or ay & 1 or (ax >> 1, ay >> 1) not in member:
-                d = (ax, ay)
-                tally[d] = tally.get(d, 0) + 1
-            bx = x1 + x2 - lx
-            by = y1 + y2 - ly
-            if bx & 1 or by & 1 or (bx >> 1, by >> 1) not in member:
-                d = (bx, by)
-                tally[d] = tally.get(d, 0) + 1
     return tally
 
 
-def _square_candidates(pts, member):
+def _square_candidates(pts, member2):
     """Candidate tallies for 2-extension of a parent set.
 
-    Returns (t1, t2): t1 maps a doubled candidate v to three times the
-    number of squares with three parent vertices completed by v; t2 maps
-    a doubled candidate pair to the number of squares with two parent
+    ``member2`` is the set of the parent's points doubled.  Returns
+    (t1, t2): t1 maps a doubled candidate v to three times the number
+    of squares with three parent vertices completed by v; t2 maps a
+    doubled candidate pair to the number of squares with two parent
     vertices completed by it.
     """
     t1: dict[Point, int] = {}
@@ -109,15 +116,11 @@ def _square_candidates(pts, member):
         for j in range(i + 1, n):
             x2, y2 = pts[j]
             for r, s in pair_completions(x1, y1, x2, y2):
-                r_in = not (r[0] & 1 or r[1] & 1) \
-                    and (r[0] >> 1, r[1] >> 1) in member
-                s_in = not (s[0] & 1 or s[1] & 1) \
-                    and (s[0] >> 1, s[1] >> 1) in member
-                if r_in and s_in:
-                    continue
-                if r_in or s_in:
-                    miss = s if r_in else r
-                    t1[miss] = t1.get(miss, 0) + 1
+                if r in member2:
+                    if s not in member2:
+                        t1[s] = t1.get(s, 0) + 1
+                elif s in member2:
+                    t1[r] = t1.get(r, 0) + 1
                 elif r <= s:
                     t2[(r, s)] = t2.get((r, s), 0) + 1
                 else:
@@ -125,35 +128,33 @@ def _square_candidates(pts, member):
     return t1, t2
 
 
-def _child_points(pts, new_doubled):
-    """Parent points plus doubled candidates, halved back when possible.
-
-    Returns (points, scaled): points is a tuple, and scaled is True when
-    the parent had to be doubled to keep a half-integer candidate
-    integral.
-    """
+def _child_points(pts, new_doubled) -> tuple[Point, ...]:
+    """Parent points plus doubled candidates, halved back when possible;
+    otherwise the parent is doubled to keep a half-integer candidate
+    integral."""
     if all(not (x & 1 or y & 1) for x, y in new_doubled):
-        return (*pts, *((x >> 1, y >> 1) for x, y in new_doubled)), False
-    return (*((2 * x, 2 * y) for x, y in pts), *new_doubled), True
+        return (*pts, *((x >> 1, y >> 1) for x, y in new_doubled))
+    return (*_doubled(pts), *new_doubled)
 
 
-def _children(square: bool, pts, m: int, floors):
+def _children(square: bool, pts, pts2, m: int, floors):
     """Children of one parent with figure count m, scored from the sweep.
 
-    Yields (step, score, new_doubled) for 1-extensions (``square``
-    false) or 2-extensions, where new_doubled is the tuple of the one or
-    two added points in doubled coordinates; ``_child_points(pts,
-    new_doubled)`` builds the child.  ``floors`` maps each step to
-    produce (1, and 2 for squares) to the lowest child score worth
-    yielding; other steps and lower scores are skipped.  Step-1
+    ``pts2`` is ``_doubled(pts)``.  Yields (step, score, new_doubled)
+    for 1-extensions (``square`` false) or 2-extensions, where
+    new_doubled is the tuple of the one or two added points in doubled
+    coordinates, so ``pts2 + new_doubled`` is the child at twice its
+    scale, which has the child's similarity key.  ``floors`` maps each
+    step to produce (1, and 2 for squares) to the lowest child score
+    worth yielding; other steps and lower scores are skipped.  Step-1
     children come first, each step in sweep order.
     """
-    member = frozenset(pts)
+    member2 = frozenset(pts2)
     if square:
-        t1, t2 = _square_candidates(pts, member)
+        t1, t2 = _square_candidates(pts, member2)
         div = 3
     else:
-        t1, t2, div = _rit_candidates(pts, member), {}, 1
+        t1, t2, div = _rit_candidates(pts2, member2), {}, 1
     floor = floors.get(1)
     if floor is not None:
         for v, tally in t1.items():
@@ -206,9 +207,9 @@ def one_extensions(ps: PointSet) -> set[PointSet]:
     a half-integer third vertex is used.
     """
     out: dict[tuple, PointSet] = {}
-    tally = _rit_candidates(ps.points, ps.member_set)
-    for v in tally:
-        child = PointSet.of(_child_points(ps.points, [v])[0])
+    pts2 = _doubled(ps.points)
+    for v in _rit_candidates(pts2, frozenset(pts2)):
+        child = PointSet.of(_child_points(ps.points, [v]))
         out.setdefault(centered_key(child.points), child)
     return set(out.values())
 
@@ -220,12 +221,12 @@ def two_extensions(ps: PointSet) -> set[PointSet]:
     already present are skipped, so every result is strictly larger.
     """
     out: dict[tuple, PointSet] = {}
-    t1, t2 = _square_candidates(ps.points, ps.member_set)
+    t1, t2 = _square_candidates(ps.points, frozenset(_doubled(ps.points)))
     for v in t1:
-        child = PointSet.of(_child_points(ps.points, [v])[0])
+        child = PointSet.of(_child_points(ps.points, [v]))
         out.setdefault(centered_key(child.points), child)
     for r, s in t2:
-        child = PointSet.of(_child_points(ps.points, [r, s])[0])
+        child = PointSet.of(_child_points(ps.points, [r, s]))
         out.setdefault(centered_key(child.points), child)
     return set(out.values())
 
@@ -289,15 +290,18 @@ def root_degrees(ps: PointSet) -> list[int]:
 def _expand_chunk(args):
     """Keyed children of (key, m) parents: a list of (step, child key,
     child m).  ``floors`` as for _children; in neighborhood mode children
-    without a root are dropped before they are keyed."""
+    without a root are dropped before they are keyed.  Each child is
+    built and keyed at twice its scale, which changes neither its key
+    nor its root degrees."""
     mode, items, floors = args
     square = mode != "rit-1ext"
     rooted_only = mode == "neighborhood-2ext"
     out = []
     for key, m in items:
         pts = key_to_pointset(key).points
-        for step, cm, new in _children(square, pts, m, floors):
-            child = _child_points(pts, new)[0]
+        pts2 = _doubled(pts)
+        for step, cm, new in _children(square, pts, pts2, m, floors):
+            child = pts2 + new
             if rooted_only and not root_degrees(PointSet.of(child)):
                 continue
             out.append((step, centered_key(child), cm))
@@ -319,6 +323,8 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if max_level_classes is not None and max_level_classes < 1:
+        raise ValueError("max_level_classes must be at least 1")
     rooted_mode = mode == "neighborhood-2ext"
     if mode == "rit-1ext":
         seed = PointSet.of([(0, 0), (1, 0), (0, 1)])

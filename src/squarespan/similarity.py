@@ -10,13 +10,16 @@ Two complete invariants are provided:
   2*n*(n-1) candidates, serialized to bytes.  O(n^3) integer arithmetic.
 
 * ``centered_key`` -- a fast complete invariant used by the search code.
-  Coordinates are centered on the centroid (scaled by n to stay integral)
-  and reduced by their content; the residual rotation/scale/reflection
-  freedom is removed by dividing by a point of maximal norm, minimizing the
-  encoded image over all maximal-norm points and both reflections.  The
-  centroid is similarity-equivariant and maximal-norm points map to
-  maximal-norm points, so equal keys characterize similar sets exactly as
-  for ``canonical_key`` (the two partitions are property-tested against
+  Coordinates are centered on the centroid (scaled by n to stay integral);
+  the residual rotation/scale/reflection freedom is removed by dividing by
+  a point of maximal norm, minimizing the encoded image over all
+  maximal-norm points and both reflections.  Each image is encoded with
+  one division by its content (the gcd of its coordinates and the
+  common denominator), which also removes the set's own scale, so a
+  scaled copy of a set has the set's key.  The centroid is
+  similarity-equivariant and maximal-norm points map to maximal-norm
+  points, so equal keys characterize similar sets exactly as for
+  ``canonical_key`` (the two partitions are property-tested against
   each other).
 
 Both keys require at least two points.
@@ -131,7 +134,8 @@ def centered_key(pts: tuple[Point, ...],
     of the minimal centered image in lowest terms.  With a ``marked``
     point of the set, equal keys mean that some similarity maps one set
     onto the other carrying marked point to marked point; the marked
-    point's image is then appended to the encoding.
+    point's image is then appended to the encoding.  The key of a
+    scaled copy of the set is the key of the set.
     """
     n = len(pts)
     if n < 2:
@@ -144,46 +148,40 @@ def centered_key(pts: tuple[Point, ...],
         sx += x
         sy += y
     w = [(n * x - sx, n * y - sy) for x, y in pts]
-    g = gcd(*chain.from_iterable(w))
-    if g > 1:
-        w = [(x // g, y // g) for x, y in w]
-    best_norm = -1
-    cands = []
-    for x, y in w:
-        nm = x * x + y * y
-        if nm > best_norm:
-            best_norm = nm
-            cands = [(x, y)]
-        elif nm == best_norm:
-            cands.append((x, y))
+    norms = [x * x + y * y for x, y in w]
+    top = max(norms)
+    if norms.count(top) == 1:
+        cands = (w[norms.index(top)],)
+    else:
+        cands = [p for p, nm in zip(w, norms) if nm == top]
     if marked is not None:
-        mx = (n * marked[0] - sx) // g
-        my = (n * marked[1] - sy) // g
+        mx = n * marked[0] - sx
+        my = n * marked[1] - sy
     best = None
     for ux, uy in cands:
         fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
-        # The reflection keeps the content, and dividing by it keeps the
-        # order, so the two reflections compare before reducing.
-        c = gcd(best_norm, *chain.from_iterable(fwd))
         image = sorted(fwd)
-        mirror = sorted([(x, -y) for x, y in fwd])
+        x0, y0 = image[0]
         if marked is not None:
             fm = (mx * ux + my * uy, my * ux - mx * uy)
             image.append(fm)
-            mirror.append((fm[0], -fm[1]))
-        if mirror < image:
-            image = mirror
-        enc = _encode_image(best_norm, c, image)
+        # When the least x is taken by one point only and its y is
+        # negative, the image's first point beats the mirror's (x0, -y0),
+        # so the mirror is neither used nor needed.
+        if y0 >= 0 or image[1][0] == x0:
+            mirror = sorted([(x, -y) for x, y in fwd])
+            if marked is not None:
+                mirror.append((fm[0], -fm[1]))
+            if mirror < image:
+                image = mirror
+        # Both reflections have the same content, and dividing by it
+        # keeps the order, so images compare before they are reduced.
+        flat = list(chain.from_iterable(image))
+        c = gcd(top, *flat)
+        enc = (top // c, *[v // c for v in flat])
         if best is None or enc < best:
             best = enc
     return best
-
-
-def _encode_image(denom: int, c: int, image) -> tuple[int, ...]:
-    """(denom, x1, y1, ...) of an image's points, all divided by c."""
-    if c > 1:
-        return (denom // c, *(v // c for v in chain.from_iterable(image)))
-    return (denom, *chain.from_iterable(image))
 
 
 def key_to_pointset(key: tuple[int, ...], marked: bool = False):

@@ -184,30 +184,32 @@ class TestDeterminismAndThreads:
 
 class TestLazyChildren:
     def test_only_keyed_children_are_built(self, monkeypatch):
-        built = []
-        build = squarespan.beam._child_points
+        # A child is built, as its doubled parent plus its new points,
+        # only when it is keyed, so counting keys counts built children.
+        keyed = []
+        key = squarespan.beam.centered_key
 
-        def counting(pts, new_doubled):
-            built.append(new_doubled)
-            return build(pts, new_doubled)
+        def counting(pts):
+            keyed.append(len(pts))
+            return key(pts)
 
-        monkeypatch.setattr(squarespan.beam, "_child_points", counting)
+        monkeypatch.setattr(squarespan.beam, "centered_key", counting)
         res = beam_search(
             BeamConfig(mode="square", n_target=14, beam_width=50))
-        # The seed level is keyed without building a child; keys made
-        # by a cut count in ``keyed`` as well.
-        assert len(built) == sum(stat.keyed for stat in res.levels[1:])
-        assert len(built) < sum(stat.collected for stat in res.levels)
+        # The seed level's one key counts in its ``keyed`` as well, and
+        # so do the keys made by a cut.
+        assert len(keyed) == sum(stat.keyed for stat in res.levels)
+        assert len(keyed) < sum(stat.collected for stat in res.levels)
 
     def test_class_at_two_scores_raises(self):
         pool = _Pool(5, 100)
-        pool.add(3, TRIANGLE, ((2, 2),))  # completes the unit square
-        pool.add(2, TRIANGLE, ((2, 2),))
+        pool.add(3, TRIANGLE2, ((2, 2),))  # completes the unit square
+        pool.add(2, TRIANGLE2, ((2, 2),))
         with pytest.raises(RuntimeError, match="same class at two scores"):
             _finalize(pool)
 
 
-TRIANGLE = ((0, 0), (1, 0), (0, 1))
+TRIANGLE2 = ((0, 0), (2, 0), (0, 2))  # the unit rit, doubled
 
 
 class TestExactCut:
@@ -256,9 +258,9 @@ class TestExactCut:
 
     def test_class_at_two_scores_raises_in_cut(self):
         pool = _Pool(5, 1)
-        pool.add(3, TRIANGLE, ((2, 2),))  # completes the unit square
+        pool.add(3, TRIANGLE2, ((2, 2),))  # completes the unit square
         with pytest.raises(RuntimeError, match="same class at two scores"):
-            pool.add(2, TRIANGLE, ((2, 2),))  # a second waiting: cut
+            pool.add(2, TRIANGLE2, ((2, 2),))  # a second waiting: cut
 
 
 class TestConfigValidation:

@@ -75,6 +75,36 @@ class TestEnumAndBeam:
         cells = {(e["n"], e["m"]): e["classes"] for e in data["entries"]}
         assert cells == {(4, 1): 1, (6, 2): 2}
 
+    def test_enum_level_budget_stops_and_says_so(self, capsys):
+        # Without the budget this run takes many minutes; with it, the
+        # first level over 2000 classes ends it.
+        argv = ["enum", "--mode", "rit-1ext", "--n-max", "10",
+                "--max-level-classes", "2000"]
+        assert run(["--json", *argv]) == 0
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["complete"] is False
+        assert data["note"] and data["note"] in captured.err
+        assert max(e["n"] for e in data["entries"]) < 10
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == f"# {data['note']}"
+        assert data["note"] in captured.err
+
+    def test_enum_complete_run_writes_no_note(self, capsys):
+        assert run(["enum", "--mode", "rit-1ext", "--n-max", "5",
+                    "--max-level-classes", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert not captured.out.splitlines()[-1].startswith("#")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_enum_level_budget_below_one_is_usage_error(self, value, capsys):
+        assert run(["enum", "--mode", "rit-1ext", "--n-max", "5",
+                    "--max-level-classes", value]) == 2
+        assert "max_level_classes must be at least 1" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,env,message", [
         ("0", None, "threads must be at least 1"),
         ("-3", None, "threads must be at least 1"),

@@ -1,8 +1,15 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import squarespan.extension
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.extension import (
+    _doubled,
+    _rit_candidates,
+    _square_candidates,
     enumerate_classes,
     is_1ext_obtainable,
     is_2ext_obtainable,
@@ -17,6 +24,8 @@ from squarespan.geometry import (
     count_rit,
     count_squares,
     decompose_at,
+    is_rit,
+    is_square,
     neighborhood,
 )
 from squarespan.similarity import centered_key
@@ -57,6 +66,88 @@ class TestSingleSteps:
     def test_children_are_distinct_classes(self):
         seen = {centered_key(c.points) for c in one_extensions(TRIANGLE)}
         assert len(seen) == 4
+
+
+# Parents for the sweep oracle: small, so that a window of doubled points
+# holds every candidate.
+small_parents = st.builds(
+    PointSet.of,
+    st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            min_size=2, max_size=6))
+
+# Doubled points of the window: every completion of a pair of points in
+# [-2, 2]^2 lies in [-6, 6]^2.
+WINDOW2 = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+
+
+def brute_rit_tally(pts2):
+    """Doubled v outside the set -> rits {a, b, v} with a, b in the set."""
+    member = set(pts2)
+    tally = {}
+    for v in WINDOW2:
+        if v not in member:
+            k = sum(1 for a, b in combinations(pts2, 2) if is_rit(a, b, v))
+            if k:
+                tally[v] = k
+    return tally
+
+
+def brute_square_tallies(pts2):
+    """The square sweep's (t1, t2), from square tests on the window."""
+    member = set(pts2)
+    t1 = {}
+    for v in WINDOW2:
+        if v not in member:
+            k = sum(1 for a, b, c in combinations(pts2, 3)
+                    if is_square(a, b, c, v))
+            if k:
+                t1[v] = 3 * k
+    t2 = {}
+    for a, b in combinations(pts2, 2):
+        for r in WINDOW2:
+            if r in member or not is_rit(a, b, r):
+                continue
+            (s,) = [s for s in (
+                (a[0] + b[0] - r[0], a[1] + b[1] - r[1]),
+                (a[0] + r[0] - b[0], a[1] + r[1] - b[1]),
+                (b[0] + r[0] - a[0], b[1] + r[1] - a[1]))
+                if is_square(a, b, r, s)]
+            if s not in member:
+                pair = (min(r, s), max(r, s))
+                t2[pair] = t2.get(pair, 0) + 1
+    # Each square is found once from r and once from s.
+    return t1, {pair: k // 2 for pair, k in t2.items()}
+
+
+# Parents holding whole squares and rits, which random draws seldom do.
+SWEEP_EXAMPLES = (
+    PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]),
+    PointSet.of([(x, y) for x in range(-1, 2) for y in range(-1, 2)]),
+    PointSet.of([(0, 0), (2, 1), (1, 2), (-1, 1), (1, -2)]),
+)
+
+
+def with_examples(test):
+    for ps in SWEEP_EXAMPLES:
+        test = example(ps)(test)
+    return test
+
+
+class TestSweepsAgainstBruteForce:
+    @settings(max_examples=40, deadline=None)
+    @with_examples
+    @given(small_parents)
+    def test_rit_sweep(self, ps):
+        pts2 = _doubled(ps.points)
+        assert _rit_candidates(pts2, frozenset(pts2)) == brute_rit_tally(pts2)
+
+    @settings(max_examples=40, deadline=None)
+    @with_examples
+    @given(small_parents)
+    def test_square_sweep(self, ps):
+        pts2 = _doubled(ps.points)
+        assert _square_candidates(ps.points, frozenset(pts2)) == \
+            brute_square_tallies(pts2)
 
 
 class TestEnumeration:

@@ -1,4 +1,6 @@
 import random
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,116 @@ similarities = st.tuples(
     gauss_nonzero,
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     st.booleans())
+
+
+def reference_centered_key(pts, marked=None):
+    """The earlier ``centered_key``, kept as the byte-identity reference.
+
+    It reduces the centered coordinates by their content first, keeps
+    every maximal-norm point in a Python loop, and sorts both
+    reflections of every image.
+    """
+    n = len(pts)
+    sx = sum(x for x, _ in pts)
+    sy = sum(y for _, y in pts)
+    w = [(n * x - sx, n * y - sy) for x, y in pts]
+    g = gcd(*chain.from_iterable(w))
+    if g > 1:
+        w = [(x // g, y // g) for x, y in w]
+    best_norm = -1
+    cands = []
+    for x, y in w:
+        nm = x * x + y * y
+        if nm > best_norm:
+            best_norm = nm
+            cands = [(x, y)]
+        elif nm == best_norm:
+            cands.append((x, y))
+    if marked is not None:
+        mx = (n * marked[0] - sx) // g
+        my = (n * marked[1] - sy) // g
+    best = None
+    for ux, uy in cands:
+        fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
+        c = gcd(best_norm, *chain.from_iterable(fwd))
+        image = sorted(fwd)
+        mirror = sorted([(x, -y) for x, y in fwd])
+        if marked is not None:
+            fm = (mx * ux + my * uy, my * ux - mx * uy)
+            image.append(fm)
+            mirror.append((fm[0], -fm[1]))
+        if mirror < image:
+            image = mirror
+        enc = (best_norm // c, *(v // c for v in chain.from_iterable(image)))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def maximal_norm_count(pts) -> int:
+    """How many points of the set lie farthest from its centroid."""
+    n = len(pts)
+    sx = sum(x for x, _ in pts)
+    sy = sum(y for _, y in pts)
+    norms = [(n * x - sx) ** 2 + (n * y - sy) ** 2 for x, y in pts]
+    return norms.count(max(norms))
+
+
+# Symmetric sets whose key has to choose among several maximal-norm
+# points, with that number of them.
+SYMMETRIC_SETS = {
+    "collinear triple": (((0, 0), (1, 0), (2, 0)), 2),
+    "unit square": (UNIT_SQUARE.points, 4),
+    "plus": (((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), 4),
+    "3x3 grid": (tuple((x, y) for x in range(3) for y in range(3)), 4),
+    "octagon": (((0, 0), (1, 2), (2, 1), (2, -1), (1, -2), (-1, -2),
+                 (-2, -1), (-2, 1), (-1, 2)), 8),
+}
+
+
+@st.composite
+def marked_sets(draw):
+    ps = draw(point_sets_2plus)
+    return ps, draw(st.sampled_from(ps.points))
+
+
+class TestCenteredKeyReference:
+    """``centered_key`` gives the reference key byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets_2plus)
+    def test_equals_reference(self, ps):
+        assert centered_key(ps.points) == reference_centered_key(ps.points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(marked_sets())
+    def test_equals_reference_marked(self, case):
+        ps, p = case
+        assert centered_key(ps.points, p) == \
+            reference_centered_key(ps.points, p)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_SETS))
+    def test_symmetric_sets(self, name):
+        pts, ties = SYMMETRIC_SETS[name]
+        assert maximal_norm_count(pts) == ties
+        assert centered_key(pts) == reference_centered_key(pts)
+        for p in pts:
+            assert centered_key(pts, p) == reference_centered_key(pts, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(marked_sets())
+    def test_doubling_keeps_the_key(self, case):
+        ps, (px, py) = case
+        doubled = tuple((2 * x, 2 * y) for x, y in ps.points)
+        assert centered_key(doubled) == centered_key(ps.points)
+        assert centered_key(doubled, (2 * px, 2 * py)) == \
+            centered_key(ps.points, (px, py))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="at least two"):
+            centered_key(((0, 0),))
+        with pytest.raises(ValueError, match="marked point"):
+            centered_key(UNIT_SQUARE.points, (5, 5))
 
 
 class TestCanonicalKey:
