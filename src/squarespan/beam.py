@@ -18,16 +18,18 @@ too many wait, the pool is cut: it keys them from the top score down,
 stops at the first score s with at least ``beam_width`` classes scoring
 s or more, and drops everything below s.  Nothing below s can be
 retained, so s is an exact floor: later candidates under it are neither
-built nor stored, and each level's expansion re-reads the floors chunk
-by chunk.
-Finalizing keys what is left the same way.
+built nor stored.  Finalizing keys what is left the same way.
 
 Every best value is certified on the spot by recounting its witness
 with the counting routines of :mod:`squarespan.geometry`.  The search
-is serial and deterministic: each level's parents are expanded in
-fixed-size chunks, and within a chunk the children reach the pools by
-step and then by descending score, so the order of arrival, and with it
-every cut, is fixed by the configuration alone.
+is serial and deterministic.  Children reach the pools in parent order
+(the level's retained order); a parent's step-1 children come before
+its step-2 children, each step in the sweep's order; and the floors are
+re-read before each parent, so a cut made by one parent's children
+spares the next parents building what falls under it.  The order of
+arrival, and with it every cut, is fixed by the configuration alone.
+Which candidates are stored and keyed depends on that order; the
+retained classes do not.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from squarespan.corpus import CorpusRecord, render_grid
-from squarespan.extension import _CHUNK, _children, _doubled
+from squarespan.extension import _SEEDS, _children, _doubled
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import (
     centered_key,
@@ -44,11 +46,6 @@ from squarespan.similarity import (
 )
 
 BEAM_MODES = ("rit", "square")
-
-_SEEDS = {
-    "rit": ((0, 0), (0, 1), (1, 0)),
-    "square": ((0, 0), (0, 1), (1, 0), (1, 1)),
-}
 
 
 @dataclass(frozen=True)
@@ -243,36 +240,22 @@ def _finalize(pool: _Pool) -> list[tuple[tuple, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _expand_beam_chunk(mode: str, items, floors):
-    """Children of the given (points, score) parents, unbuilt.
+def _expand_beam_chunk(square: bool, retained, sinks) -> None:
+    """Feed the children of a level's retained classes to their pools.
 
-    ``floors`` maps a step size (1, and 2 for squares) to the minimal
-    child score worth collecting; steps absent from ``floors`` are not
-    produced.  Returns {step: {score: [(parent2, new_doubled), ...]}},
-    parent2 being the parent's points doubled, made once per parent, and
-    new_doubled the doubled points the child adds to it.
+    ``retained`` holds the level's (key, score) pairs; ``sinks`` maps a
+    step size (1, and 2 for squares) to the pool of that child
+    cardinality, and steps absent from it are not produced.  Each parent
+    is decoded and doubled once, and its children are built only as far
+    as the pools' current floors ask.  ``perfbench/tracing.py`` times
+    this function as ``beam.expand``.
     """
-    out: dict[int, dict[int, list[tuple]]] = {d: {} for d in floors}
-    square = mode == "square"
-    for pts, m in items:
+    for key, m in retained:
+        pts = key_to_pointset(key).points
         pts2 = _doubled(pts)
+        floors = {d: sink.floor for d, sink in sinks.items()}
         for d, s, new in _children(square, pts, pts2, m, floors):
-            out[d].setdefault(s, []).append((pts2, new))
-    return out
-
-
-def _collect(sinks, out) -> None:
-    """Add one _expand_beam_chunk result to the pools ``sinks[step]``."""
-    for d in sorted(out):
-        sink = sinks[d]
-        for s in sorted(out[d], reverse=True):
-            for pts2, new in out[d][s]:
-                sink.add(s, pts2, new)
-
-
-def _reps(retained) -> list[tuple[tuple, int]]:
-    """Decoded (points, score) parents of a retained level."""
-    return [(key_to_pointset(k).points, m) for k, m in retained]
+            sinks[d].add(s, pts2, new)
 
 
 def beam_search(cfg: BeamConfig) -> BeamResult:
@@ -322,10 +305,6 @@ def beam_search(cfg: BeamConfig) -> BeamResult:
             break
         sinks = {d: pools.setdefault(n + d, _Pool(cfg.beam_width, cap))
                  for d in deltas if n + d <= cfg.n_target}
-        parents = _reps(level)
-        for i in range(0, len(parents), _CHUNK):
-            floors = {d: sink.floor for d, sink in sinks.items()}
-            _collect(sinks, _expand_beam_chunk(
-                mode, parents[i:i + _CHUNK], floors))
+        _expand_beam_chunk(mode == "square", level, sinks)
 
     return result

@@ -8,20 +8,20 @@ completions follow the doubled-coordinate convention of
 half-integer the whole set is doubled first, so everything stays on the
 integer grid.
 
-One child generator, ``_children``, serves both the breadth-first
-enumerator here and the beam search in :mod:`squarespan.beam`.  It scores
-every child from the candidate sweep itself: a new rit through candidate
-v contains exactly one point pair of the parent, so each (pair,
-third-vertex) hit contributes one rit; a new square with three parent
-vertices is hit by three parent pairs, so those tallies are divided by
-three, while a square with two parent vertices is hit exactly once.  The
-caller names the steps to produce and a score floor for each.  A child
-comes as its one or two added points in doubled coordinates, and the
-callers key it as the doubled parent plus those points: the child at
-twice its scale, whose similarity key is the child's.  The enumerator
-keys every child it gets, the beam only those its pools reach.
-The enumerator's per-chunk work runs through ``_map_chunks``, serially
-or in a process pool.
+One child generator, ``_children``, serves the breadth-first enumerator
+here, the single-step extensions and the beam search in
+:mod:`squarespan.beam`.  It scores every child from the candidate sweep
+itself: a new rit through candidate v contains exactly one point pair of
+the parent, so each (pair, third-vertex) hit contributes one rit; a new
+square with three parent vertices is hit by three parent pairs, so those
+tallies are divided by three, while a square with two parent vertices is
+hit exactly once.  The caller names the steps to produce and a score
+floor for each.  A child comes as its one or two added points in doubled
+coordinates, and the callers key it as the doubled parent plus those
+points: the child at twice its scale, whose similarity key is the
+child's.  The enumerator keys every child it gets, the beam only those
+its pools reach.  The enumerator's per-chunk work runs through
+``_map_chunks``, serially or in a process pool.
 
 The breadth-first enumerator expands level n into levels n+1 (and n+2 for
 square modes, while n+2 <= n_max) and deduplicates classes by their
@@ -56,6 +56,13 @@ from squarespan.similarity import (
 )
 
 MODES = ("rit-1ext", "square-2ext", "neighborhood-2ext")
+
+# The unit rit and the unit square: where the rit and the square
+# searches, enumeration and beam alike, start.
+_SEEDS = {
+    "rit": ((0, 0), (0, 1), (1, 0)),
+    "square": ((0, 0), (0, 1), (1, 0), (1, 1)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +135,6 @@ def _square_candidates(pts, member2):
     return t1, t2
 
 
-def _child_points(pts, new_doubled) -> tuple[Point, ...]:
-    """Parent points plus doubled candidates, halved back when possible;
-    otherwise the parent is doubled to keep a half-integer candidate
-    integral."""
-    if all(not (x & 1 or y & 1) for x, y in new_doubled):
-        return (*pts, *((x >> 1, y >> 1) for x, y in new_doubled))
-    return (*_doubled(pts), *new_doubled)
-
-
 def _children(square: bool, pts, pts2, m: int, floors):
     """Children of one parent with figure count m, scored from the sweep.
 
@@ -170,8 +168,7 @@ def _children(square: bool, pts, pts2, m: int, floors):
 
 
 # Parents per task.  Fixed, so that serial and pooled runs see the same
-# chunks in the same order and give the same results; the beam expands
-# its parents in chunks of the same size.
+# chunks in the same order and give the same results.
 _CHUNK = 64
 
 
@@ -200,35 +197,32 @@ def _map_chunks(mode: str, items, floors, threads: int):
 # ---------------------------------------------------------------------------
 
 
+def _single_steps(square: bool, ps: PointSet) -> set[PointSet]:
+    """One grid-normalized representative per class of the children of P
+    (1-extensions, or 2-extensions when ``square``), unfiltered."""
+    pts2 = _doubled(ps.points)
+    keys = {centered_key(pts2 + new)
+            for _, _, new in _children(square, ps.points, pts2, 0,
+                                       {1: 0, 2: 0})}
+    return {key_to_pointset(k) for k in keys}
+
+
 def one_extensions(ps: PointSet) -> set[PointSet]:
     """All classes obtainable from P by adding one rit-completing vertex.
 
-    One representative per similarity class; the whole set is doubled when
-    a half-integer third vertex is used.
+    One grid-normalized representative per similarity class.
     """
-    out: dict[tuple, PointSet] = {}
-    pts2 = _doubled(ps.points)
-    for v in _rit_candidates(pts2, frozenset(pts2)):
-        child = PointSet.of(_child_points(ps.points, [v]))
-        out.setdefault(centered_key(child.points), child)
-    return set(out.values())
+    return _single_steps(False, ps)
 
 
 def two_extensions(ps: PointSet) -> set[PointSet]:
     """All classes obtainable from P by completing a square from a pair.
 
     Adds the one or two missing vertices of some completion; completions
-    already present are skipped, so every result is strictly larger.
+    already present are skipped, so every result is strictly larger.  One
+    grid-normalized representative per similarity class.
     """
-    out: dict[tuple, PointSet] = {}
-    t1, t2 = _square_candidates(ps.points, frozenset(_doubled(ps.points)))
-    for v in t1:
-        child = PointSet.of(_child_points(ps.points, [v]))
-        out.setdefault(centered_key(child.points), child)
-    for r, s in t2:
-        child = PointSet.of(_child_points(ps.points, [r, s]))
-        out.setdefault(centered_key(child.points), child)
-    return set(out.values())
+    return _single_steps(True, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,8 @@ class EnumTable:
 
     ``delta_max`` (neighborhood mode) holds the maximum root degree per
     cell.  ``complete`` is False when a level budget stopped the run;
-    ``note`` then names the first dropped level.
+    ``note`` then names the level that overflowed and the first dropped
+    level.
     """
 
     mode: str
@@ -326,15 +321,10 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
     if max_level_classes is not None and max_level_classes < 1:
         raise ValueError("max_level_classes must be at least 1")
     rooted_mode = mode == "neighborhood-2ext"
-    if mode == "rit-1ext":
-        seed = PointSet.of([(0, 0), (1, 0), (0, 1)])
-        start_n = 3
-        steps = (1,)
-    else:
-        seed = PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
-        start_n = 4
-        steps = (1, 2)
-    seed_key = centered_key(seed.points)
+    seed = _SEEDS["rit" if mode == "rit-1ext" else "square"]
+    start_n = len(seed)
+    steps = (1,) if mode == "rit-1ext" else (1, 2)
+    seed_key = centered_key(seed)
 
     table = EnumTable(mode=mode, delta_max={} if rooted_mode else None)
     if n_max < start_n:
@@ -367,16 +357,12 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
                         "same class reached with differing counts")
                 if max_level_classes is not None \
                         and len(level) > max_level_classes:
+                    # Level n has not fed n+1 in full, whichever level
+                    # overflowed, and no cell past n is in the table yet.
                     table.complete = False
                     table.note = (f"level n={target} exceeded "
                                   f"{max_level_classes} classes; "
-                                  f"cells with n >= {target} dropped")
-                    for t in list(levels):
-                        if t >= target:
-                            del levels[t]
-                    for cell in list(table.entries):
-                        if cell[0] >= target:
-                            del table.entries[cell]
+                                  f"cells with n >= {n + 1} dropped")
                     return table
     return table
 

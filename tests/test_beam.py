@@ -5,13 +5,16 @@ import pytest
 import squarespan.beam
 from squarespan.beam import (
     BeamConfig,
-    _expand_beam_chunk,
     _finalize,
     _Pool,
-    _reps,
     beam_search,
 )
-from squarespan.extension import _CHUNK, one_extensions, two_extensions
+from squarespan.extension import (
+    _children,
+    _doubled,
+    one_extensions,
+    two_extensions,
+)
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import centered_key, key_to_pointset
 from squarespan.tables import (
@@ -129,12 +132,12 @@ SQUARE_17_LEVELS = [
     (9, 157, 157, 36, 36, 6, 0),
     (10, 1056, 1056, 420, 200, 7, 0),
     (11, 3701, 3701, 1522, 200, 8, 0),
-    (12, 7152, 3681, 571, 200, 11, 1),
-    (13, 8457, 3578, 541, 200, 13, 1),
-    (14, 8793, 3009, 455, 200, 15, 1),
-    (15, 10404, 3688, 617, 200, 17, 1),
-    (16, 11202, 2838, 316, 200, 20, 1),
-    (17, 13699, 4381, 707, 200, 22, 1),
+    (12, 6531, 3681, 571, 200, 11, 1),
+    (13, 6659, 3578, 541, 200, 13, 1),
+    (14, 6188, 3009, 455, 200, 15, 1),
+    (15, 6894, 3688, 617, 200, 17, 1),
+    (16, 6258, 2838, 316, 200, 20, 1),
+    (17, 7554, 4381, 707, 200, 22, 1),
 ]
 
 SQUARE_17_TSV = """\
@@ -229,14 +232,12 @@ class TestExactCut:
 
         monkeypatch.setattr(squarespan.beam, "_finalize", recording)
         beam_search(BeamConfig(mode="square", n_target=11, beam_width=200))
-        parents = _reps(levels[-1])
         arrivals = {1: [], 2: []}
-        for i in range(0, len(parents), _CHUNK):
-            out = _expand_beam_chunk(
-                "square", parents[i:i + _CHUNK], {1: 0, 2: 0})
-            for d, buckets in out.items():
-                for s in sorted(buckets, reverse=True):
-                    arrivals[d] += [(s, pts, new) for pts, new in buckets[s]]
+        for key, m in levels[-1]:
+            pts = key_to_pointset(key).points
+            pts2 = _doubled(pts)
+            for d, s, new in _children(True, pts, pts2, m, {1: 0, 2: 0}):
+                arrivals[d].append((s, pts2, new))
         return arrivals.values()
 
     def test_cut_pools_finalize_identically(self, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from squarespan.geometry import (
     is_square,
     neighborhood,
 )
-from squarespan.similarity import centered_key
+from squarespan.similarity import centered_key, normalize_to_grid
 from squarespan.tables import (
     NEIGHBORHOOD_2EXT_CLASSES,
     NEIGHBORHOOD_2EXT_CORRECTIONS,
@@ -150,6 +151,41 @@ class TestSweepsAgainstBruteForce:
             brute_square_tallies(pts2)
 
 
+def child_classes(pts2, added):
+    """Keys of the parent plus each tuple of doubled points in ``added``."""
+    return {centered_key(pts2 + new) for new in added}
+
+
+class TestSingleStepsAgainstBruteForce:
+    """The single-step extensions have exactly the classes of the parent
+    plus each brute-force candidate, one grid-normalized set each."""
+
+    @staticmethod
+    def check(children, ps, expected, sizes):
+        assert {centered_key(c.points) for c in children} == expected
+        assert len(children) == len(expected)
+        for child in children:
+            assert normalize_to_grid(child) == child
+            assert len(child) - len(ps) in sizes
+
+    @settings(max_examples=40, deadline=None)
+    @with_examples
+    @given(small_parents)
+    def test_one_extensions(self, ps):
+        pts2 = _doubled(ps.points)
+        expected = child_classes(pts2, [(v,) for v in brute_rit_tally(pts2)])
+        self.check(one_extensions(ps), ps, expected, {1})
+
+    @settings(max_examples=40, deadline=None)
+    @with_examples
+    @given(small_parents)
+    def test_two_extensions(self, ps):
+        pts2 = _doubled(ps.points)
+        t1, t2 = brute_square_tallies(pts2)
+        expected = child_classes(pts2, [(v,) for v in t1] + list(t2))
+        self.check(two_extensions(ps), ps, expected, {1, 2})
+
+
 class TestEnumeration:
     def test_rit_one_extension_small(self):
         table = enumerate_classes("rit-1ext", 4)
@@ -198,6 +234,25 @@ class TestEnumeration:
         assert table.note
         assert max(n for n, _ in table.entries) == 4
         assert table.entries[(4, 2)] == 2
+
+    @pytest.mark.parametrize("mode", ["square-2ext", "neighborhood-2ext"])
+    def test_level_budget_note_names_first_dropped_level(self, mode):
+        # Level n feeds n+1 and n+2, and n+2 may overflow first; then
+        # n+1 is unfinished and is the first level dropped.
+        full = enumerate_classes(mode, 11)
+        for budget in (1, 2, 40, 1000):
+            table = enumerate_classes(mode, 11, max_level_classes=budget)
+            if table.complete:
+                assert mode == "neighborhood-2ext" and budget == 1000
+                assert table.note == "" and table.entries == full.entries
+                continue
+            dropped = re.search(r"cells with n >= (\d+) dropped",
+                                table.note)
+            assert int(dropped[1]) == 1 + max(n for n, _ in table.entries)
+            for cell, count in table.entries.items():
+                assert full.entries[cell] == count, (budget, cell)
+                if full.delta_max is not None:
+                    assert table.delta_max[cell] == full.delta_max[cell]
 
     def test_class_filter_prunes_storage_and_expansion(self):
         table = enumerate_classes(

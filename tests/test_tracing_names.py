@@ -32,6 +32,31 @@ def test_every_traced_function_resolves():
         assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
 
 
+def test_beam_search_calls_its_spans_through_the_module(monkeypatch):
+    # Tracing swaps module attributes, so a span times nothing if the
+    # search reaches the function through a local alias instead.
+    beam = importlib.import_module("squarespan.beam")
+    spanned = [attr for name in ("beam.expand", "beam.finalize",
+                                 "beam.rebuild")
+               for module, attr in _tables()["SPANS"][name]
+               if module == "beam"]
+    assert "_expand_beam_chunk" in spanned and "_finalize" in spanned
+    calls = dict.fromkeys(spanned, 0)
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in spanned:
+        monkeypatch.setattr(beam, attr, counting(attr, getattr(beam, attr)))
+    # Square width 200 cuts its pool at n=12, so every span is reached.
+    beam.beam_search(beam.BeamConfig(mode="square", n_target=12,
+                                     beam_width=200))
+    assert all(calls.values()), calls
+
+
 def _callers(tree, callee):
     """The qualified names of the functions, methods included, that call
     ``callee`` by name; None for a call outside any function."""
