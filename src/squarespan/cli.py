@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from squarespan.beam import BEAM_MODES, BeamConfig, beam_search
 from squarespan.bounds import (
@@ -125,10 +126,17 @@ def _cmd_canon(args) -> int:
     return 0
 
 
+def _print_enum_level(stat) -> None:
+    print(f"level n={stat.n}: parents={stat.parents} keys={stat.keys} "
+          f"stored={stat.stored} seconds={stat.seconds} "
+          f"rss_mb={stat.rss_mb}", file=sys.stderr)
+
+
 def _cmd_enum(args) -> int:
     threads = _default_threads() if args.threads is None else args.threads
     table = enumerate_classes(args.mode, args.n_max, threads=threads,
-                              max_level_classes=args.max_level_classes)
+                              max_level_classes=args.max_level_classes,
+                              on_level=_print_enum_level)
     if not table.complete:
         print(f"squarespan enum: stopped early: {table.note}",
               file=sys.stderr)
@@ -140,7 +148,8 @@ def _cmd_enum(args) -> int:
                 entry["delta_max"] = table.delta_max.get(
                     (entry["n"], entry["m"]), 0)
         print(json.dumps({"mode": table.mode, "entries": entries,
-                          "complete": table.complete, "note": table.note},
+                          "complete": table.complete, "note": table.note,
+                          "levels": [asdict(lv) for lv in table.levels]},
                          indent=2))
     else:
         sys.stdout.write(table.to_tsv())

@@ -25,7 +25,18 @@ its pools reach.  The enumerator's per-chunk work runs through
 
 The breadth-first enumerator expands level n into levels n+1 (and n+2 for
 square modes, while n+2 <= n_max) and deduplicates classes by their
-centered similarity key as the chunks' children arrive.
+centered similarity key as the chunks' children arrive.  A level is a
+dict from stored key to figure count.  The stored form of a key is
+packed: its values as native 2-byte signed integers, the bytes of
+``array('h', key)``, about 8x smaller than a tuple of Python ints.  A
+key with a value outside the 2-byte range is stored as its tuple
+instead.  The form depends only on the key, and bytes never equal a
+tuple, so each class has exactly one stored form.  Children are packed
+where they are keyed, so pool workers return bytes.  A stored key is
+unpacked only where its points are needed: a parent once before it is
+expanded, a child before the class filter sees it, a neighborhood class
+before its roots are scanned.  Each expanded level leaves one
+``EnumLevel`` record in the table.
 
 The neighborhood mode keeps only neighborhood point sets: classes in
 which the squares through some single vertex (a root) cover the whole
@@ -39,6 +50,9 @@ per cell.  Neighborhoods and decompositions at a point live in
 
 from __future__ import annotations
 
+import resource
+import struct
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -230,6 +244,50 @@ def two_extensions(ps: PointSet) -> set[PointSet]:
 # ---------------------------------------------------------------------------
 
 
+class _Shorts(dict):
+    """count -> ``struct.Struct`` of count native 2-byte signed integers,
+    made on first use.  It packs a key to ``array('h', key).tobytes()``
+    in half the time."""
+
+    def __missing__(self, count: int) -> struct.Struct:
+        self[count] = shorts = struct.Struct(f"{count}h")
+        return shorts
+
+
+_SHORTS = _Shorts()
+
+
+def _pack(key: tuple[int, ...]):
+    """The stored form of a centered key: 2-byte packed bytes, or the
+    key itself when some value does not fit in 2 bytes."""
+    try:
+        return _SHORTS[len(key)].pack(*key)
+    except struct.error:
+        return key
+
+
+def _unpack(stored) -> tuple[int, ...]:
+    """The centered key of a stored form."""
+    if isinstance(stored, tuple):
+        return stored
+    return _SHORTS[len(stored) >> 1].unpack(stored)
+
+
+@dataclass
+class EnumLevel:
+    """What expanding one level cost: its ``parents``, the child ``keys``
+    computed from them, the new classes they ``stored`` in later levels,
+    the ``seconds`` taken and the process's peak RSS after it
+    (``rss_mb``, ``ru_maxrss``)."""
+
+    n: int
+    parents: int
+    keys: int = 0
+    stored: int = 0
+    seconds: float = 0.0
+    rss_mb: float = 0.0
+
+
 @dataclass
 class EnumTable:
     """Class counts per (n, m) cell of one enumeration run.
@@ -237,7 +295,8 @@ class EnumTable:
     ``delta_max`` (neighborhood mode) holds the maximum root degree per
     cell.  ``complete`` is False when a level budget stopped the run;
     ``note`` then names the level that overflowed and the first dropped
-    level.
+    level.  ``levels`` holds one record per expanded level, the one that
+    stopped the run included.
     """
 
     mode: str
@@ -245,6 +304,7 @@ class EnumTable:
     delta_max: dict[tuple[int, int], int] | None = None
     complete: bool = True
     note: str = ""
+    levels: list[EnumLevel] = field(default_factory=list)
 
     def to_tsv(self) -> str:
         with_delta = self.delta_max is not None
@@ -283,29 +343,30 @@ def root_degrees(ps: PointSet) -> list[int]:
 
 
 def _expand_chunk(args):
-    """Keyed children of (key, m) parents: a list of (step, child key,
-    child m).  ``floors`` as for _children; in neighborhood mode children
-    without a root are dropped before they are keyed.  Each child is
-    built and keyed at twice its scale, which changes neither its key
-    nor its root degrees."""
+    """Keyed children of (stored key, m) parents: a list of (step, stored
+    child key, child m).  ``floors`` as for _children; in neighborhood
+    mode children without a root are dropped before they are keyed.
+    Each child is built and keyed at twice its scale, which changes
+    neither its key nor its root degrees."""
     mode, items, floors = args
     square = mode != "rit-1ext"
     rooted_only = mode == "neighborhood-2ext"
     out = []
-    for key, m in items:
-        pts = key_to_pointset(key).points
+    for stored, m in items:
+        pts = key_to_pointset(_unpack(stored)).points
         pts2 = _doubled(pts)
         for step, cm, new in _children(square, pts, pts2, m, floors):
             child = pts2 + new
             if rooted_only and not root_degrees(PointSet.of(child)):
                 continue
-            out.append((step, centered_key(child), cm))
+            out.append((step, _pack(centered_key(child)), cm))
     return out
 
 
 def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
                       threads: int = 1,
-                      max_level_classes: int | None = None) -> EnumTable:
+                      max_level_classes: int | None = None,
+                      on_level=None) -> EnumTable:
     """Breadth-first isomorph-free run of the chosen extension mode.
 
     Classes are grouped into (n, m) cells, m being the total figure count
@@ -313,6 +374,8 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
     failing classes from storage and further expansion.  A level whose
     class count would exceed ``max_level_classes`` stops the run with
     ``complete=False``; cells of fully processed levels stay exact.
+    ``on_level(record)``, when given, receives each level's
+    ``EnumLevel`` as soon as the level is expanded.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -324,35 +387,50 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
     seed = _SEEDS["rit" if mode == "rit-1ext" else "square"]
     start_n = len(seed)
     steps = (1,) if mode == "rit-1ext" else (1, 2)
-    seed_key = centered_key(seed)
+    seed_key = _pack(centered_key(seed))
 
     table = EnumTable(mode=mode, delta_max={} if rooted_mode else None)
     if n_max < start_n:
         return table
-    levels: dict[int, dict[tuple, int]] = {start_n: {seed_key: 1}}
+    levels: dict[int, dict] = {start_n: {seed_key: 1}}
+
+    def record(stat: EnumLevel, start: float) -> None:
+        stat.seconds = round(time.perf_counter() - start, 3)
+        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        stat.rss_mb = round(rss_kb / 1024, 1)
+        table.levels.append(stat)
+        if on_level is not None:
+            on_level(stat)
 
     for n in range(start_n, n_max + 1):
         bucket = levels.pop(n, {})
-        for key, m in bucket.items():
+        for stored, m in bucket.items():
             cell = (n, m)
             table.entries[cell] = table.entries.get(cell, 0) + 1
             if rooted_mode:
-                deg = max(root_degrees(key_to_pointset(key)))
+                deg = max(root_degrees(key_to_pointset(_unpack(stored))))
                 if deg > table.delta_max.get(cell, 0):
                     table.delta_max[cell] = deg
         if n == n_max or not bucket:
             continue
 
+        start = time.perf_counter()
+        stat = EnumLevel(n=n, parents=len(bucket))
         floors = {d: 0 for d in steps if n + d <= n_max}
         for children in _map_chunks(mode, list(bucket.items()), floors,
                                     threads):
-            for step, key, cm in children:
+            stat.keys += len(children)
+            for step, stored, cm in children:
                 target = n + step
-                if class_filter is not None \
-                        and not class_filter(key_to_pointset(key), cm):
+                if class_filter is not None and not class_filter(
+                        key_to_pointset(_unpack(stored)), cm):
                     continue
                 level = levels.setdefault(target, {})
-                if level.setdefault(key, cm) != cm:
+                known = level.get(stored)
+                if known is None:
+                    level[stored] = cm
+                    stat.stored += 1
+                elif known != cm:
                     raise RuntimeError(
                         "same class reached with differing counts")
                 if max_level_classes is not None \
@@ -363,7 +441,9 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
                     table.note = (f"level n={target} exceeded "
                                   f"{max_level_classes} classes; "
                                   f"cells with n >= {n + 1} dropped")
+                    record(stat, start)
                     return table
+        record(stat, start)
     return table
 
 

@@ -80,3 +80,49 @@ def test_tree_without_git_needs_a_commit(record, tmp_path):
     with pytest.raises(SystemExit, match="--commit"):
         record.main(["--workload", "w", "--seeds", "1", "--tree", str(tree),
                      "--out", str(tmp_path)])
+
+
+# enumerate_classes as the enum timer calls it: entries and complete.
+ENUM_STUB = textwrap.dedent("""\
+    from pathlib import Path
+    from types import SimpleNamespace
+
+    def enumerate_classes(mode, n_max):
+        scale = int(Path("SCALE").read_text())
+        return SimpleNamespace(entries={(n_max, 1): scale, (4, 1): 1},
+                               complete=mode == "square-2ext")
+    """)
+
+
+def enum_tree(path: Path, scale: int) -> Path:
+    pkg = path / "src" / "squarespan"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "extension.py").write_text(ENUM_STUB)
+    (path / "SCALE").write_text(str(scale))
+    return path
+
+
+def test_enum_run_appends_to_tables_history(record, tmp_path):
+    old = enum_tree(tmp_path / "old", 5)
+    new = enum_tree(tmp_path / "new", 7)
+    argv = ["--enum", "square-2ext", "9", "--tree", str(new),
+            "--commit", "bbb", "--baseline", str(old),
+            "--baseline-commit", "aaa", "--out", str(tmp_path)]
+    assert record.main(argv) == 0
+    history = json.loads((tmp_path / "BENCH_tables.json").read_text())
+    assert [e["commit"] for e in history] == ["aaa", "bbb"]
+    assert [e["classes"] for e in history] == [6, 8]
+    for e in history:
+        assert e["mode"] == "square-2ext" and e["n_max"] == 9
+        assert e["complete"] and e["wall_s"] >= 0 and e["peak_rss_mb"] > 0
+
+    assert record.main(["--enum", "rit-1ext", "9", "--tree", str(new),
+                        "--commit", "ccc", "--out", str(tmp_path)]) == 1
+    history = json.loads((tmp_path / "BENCH_tables.json").read_text())
+    assert not history[-1]["complete"]
+
+
+def test_workload_needs_seeds(record, tmp_path):
+    with pytest.raises(SystemExit):
+        record.main(["--workload", "w", "--out", str(tmp_path)])

@@ -74,6 +74,9 @@ class TestEnumAndBeam:
         data = json.loads(capsys.readouterr().out)
         cells = {(e["n"], e["m"]): e["classes"] for e in data["entries"]}
         assert cells == {(4, 1): 1, (6, 2): 2}
+        assert [lv["n"] for lv in data["levels"]] == [4]
+        assert data["levels"][0]["parents"] == 1
+        assert data["levels"][0]["stored"] == 2
 
     def test_enum_level_budget_stops_and_says_so(self, capsys):
         # Without the budget this run takes many minutes; with it, the
@@ -96,7 +99,9 @@ class TestEnumAndBeam:
                     "--max-level-classes", "2000"]) == 0
         captured = capsys.readouterr()
         assert not captured.out.splitlines()[-1].startswith("#")
-        assert captured.err == ""
+        # Only the level progress lines, one per expanded level.
+        assert [ln.split(":")[0] for ln in captured.err.splitlines()] == \
+            ["level n=3", "level n=4"]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_enum_level_budget_below_one_is_usage_error(self, value, capsys):

@@ -1,4 +1,5 @@
 import re
+from array import array
 from itertools import combinations
 
 import pytest
@@ -9,8 +10,11 @@ import squarespan.extension
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.extension import (
     _doubled,
+    _expand_chunk,
+    _pack,
     _rit_candidates,
     _square_candidates,
+    _unpack,
     enumerate_classes,
     is_1ext_obtainable,
     is_2ext_obtainable,
@@ -29,7 +33,12 @@ from squarespan.geometry import (
     is_square,
     neighborhood,
 )
-from squarespan.similarity import centered_key, normalize_to_grid
+from squarespan.similarity import (
+    centered_key,
+    key_to_pointset,
+    normalize_to_grid,
+    similar,
+)
 from squarespan.tables import (
     NEIGHBORHOOD_2EXT_CLASSES,
     NEIGHBORHOOD_2EXT_CORRECTIONS,
@@ -287,6 +296,82 @@ class TestEnumeration:
         assert pool_starts  # level 6 has 385 parents: several chunks
         assert pooled.entries == serial.entries
         assert pooled.to_tsv() == serial.to_tsv()
+
+
+class TestPackedKeys:
+    # Centered coordinates of this set reach far past 2**15.
+    WIDE = PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1), (300, 7)])
+
+    def test_round_trip(self):
+        for ps in (TRIANGLE, UNIT_SQUARE, GRID3, TWO_FAR_SQUARES):
+            key = centered_key(ps.points)
+            stored = _pack(key)
+            assert stored == array("h", key).tobytes()
+            assert _unpack(stored) == key
+
+    def test_wide_key_stays_a_tuple(self):
+        key = centered_key(self.WIDE.points)
+        assert max(abs(v) for v in key) >= 2 ** 15
+        stored = _pack(key)
+        assert stored == key and isinstance(stored, tuple)
+        assert similar(key_to_pointset(_unpack(stored)), self.WIDE)
+
+    def test_packed_and_tuple_keys_never_collide(self):
+        key = centered_key(GRID3.points)
+        stored = {_pack(key): 1, key: 2,
+                  _pack(centered_key(self.WIDE.points)): 3}
+        assert len(stored) == 3
+        assert _pack(key) != key
+
+    def test_expanded_children_carry_bytes_keys(self):
+        stored = _pack(centered_key(UNIT_SQUARE.points))
+        children = _expand_chunk(("square-2ext", [(stored, 1)],
+                                  {1: 0, 2: 0}))
+        assert children
+        assert all(isinstance(key, bytes) for _, key, _ in children)
+        expected = {centered_key(ps.points) for ps in
+                    two_extensions(UNIT_SQUARE)}
+        assert {_unpack(key) for _, key, _ in children} == expected
+
+    def test_tuple_parent_expands_like_a_packed_one(self):
+        key = centered_key(GRID3.points)
+        floors = {1: 0, 2: 0}
+        assert _expand_chunk(("square-2ext", [(key, 6)], floors)) == \
+            _expand_chunk(("square-2ext", [(_pack(key), 6)], floors))
+
+
+class TestLevelRecords:
+    def test_one_record_per_expanded_level(self):
+        seen = []
+        table = enumerate_classes("square-2ext", 10, on_level=seen.append)
+        assert table.levels == seen
+        parents: dict[int, int] = {}
+        for (n, _), count in table.entries.items():
+            parents[n] = parents.get(n, 0) + count
+        assert [lv.n for lv in table.levels] == \
+            [n for n in sorted(parents) if n < 10]
+        for lv in table.levels:
+            assert lv.parents == parents[lv.n]
+            assert lv.keys >= lv.stored
+            assert lv.seconds >= 0 and lv.rss_mb > 0
+        assert sum(lv.stored for lv in table.levels) == \
+            sum(table.entries.values()) - 1
+
+    def test_stopping_level_gets_its_record(self):
+        table = enumerate_classes("rit-1ext", 6, max_level_classes=4)
+        assert not table.complete
+        assert [lv.n for lv in table.levels] == [3, 4]
+        assert table.levels[-1].stored == 5
+
+    @pytest.mark.slow
+    def test_square_two_extension_to_fourteen(self):
+        table = enumerate_classes("square-2ext", 14)
+        expected = {k: v for k, v in SQUARE_2EXT_CLASSES.items()
+                    if k[0] <= 14 and v}
+        wrong = {cell: (table.entries.get(cell, 0), expected.get(cell, 0))
+                 for cell in set(table.entries) | set(expected)
+                 if table.entries.get(cell, 0) != expected.get(cell, 0)}
+        assert not wrong, wrong
 
 
 class TestRootlessClassesExplainTheCorrection:
