@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from squarespan import tables
@@ -102,7 +102,7 @@ class SimilarityCollision:
     """Two records of the same group that turned out to be similar."""
 
     family: str
-    n: str
+    n: int
     id_a: str
     id_b: str
 
@@ -155,10 +155,11 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
     fields id=, family=, n=, expected= followed by ``grid:`` and the grid
     rows.  Lines whose first non-blank character is ``#`` are comments.
     Raises CorpusParseError (with line number) on ragged rows, characters
-    outside {x, .}, a wrong number of 'x' cells, or missing fields.
+    outside {x, .}, a wrong number of 'x' cells, missing fields, or an
+    ``n=`` or ``expected=`` value that is not an integer.
     """
     records: list[CorpusRecord] = []
-    fields: dict[str, str] = {}
+    fields: dict[str, str | int] = {}
     grid: list[str] = []
     in_grid = False
     start_line = 0
@@ -172,7 +173,7 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
             raise CorpusParseError(f"record missing field(s) {missing}", line)
         if not grid:
             raise CorpusParseError("record has no grid", line)
-        n = int(fields["n"])
+        n = fields["n"]
         xs = sum(row.count("x") for row in grid)
         if xs != n:
             raise CorpusParseError(
@@ -182,7 +183,7 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
                 f"unknown family {fields['family']!r}", start_line)
         records.append(CorpusRecord(
             id=fields["id"], family=fields["family"], n=n,
-            expected=int(fields["expected"]), grid=tuple(grid)))
+            expected=fields["expected"], grid=tuple(grid)))
         fields, grid, in_grid = {}, [], False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -211,9 +212,17 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
             in_grid = True
             continue
         key, sep, value = line.partition("=")
-        if not sep or key.strip() not in _HEADER_FIELDS:
+        key = key.strip()
+        value = value.strip()
+        if not sep or key not in _HEADER_FIELDS:
             raise CorpusParseError(f"unrecognized line {line!r}", lineno)
-        fields[key.strip()] = value.strip()
+        if key in ("n", "expected"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise CorpusParseError(
+                    f"{key}= is not an integer: {value!r}", lineno) from None
+        fields[key] = value
     flush(lineno if text else 0)
     return records
 

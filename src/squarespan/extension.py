@@ -44,8 +44,8 @@ set.  Children without a root are pruned before storage and expansion,
 so a class is counted exactly when some 2-extension chain from the unit
 square passes through neighborhood point sets only; the root is free to
 move from level to level.  delta_max records the largest root degree
-per cell.  Neighborhoods and decompositions at a point live in
-:mod:`squarespan.geometry`.
+per cell.  ``root_degrees`` is the package's one test for a
+neighborhood point set.
 """
 
 from __future__ import annotations
@@ -63,11 +63,7 @@ from squarespan.geometry import (
     rits_of,
     squares_of,
 )
-from squarespan.similarity import (
-    canonical_key,
-    centered_key,
-    key_to_pointset,
-)
+from squarespan.similarity import centered_key, key_to_pointset
 
 MODES = ("rit-1ext", "square-2ext", "neighborhood-2ext")
 
@@ -448,7 +444,7 @@ def enumerate_classes(mode: str, n_max: int, *, class_filter=None,
 
 
 # ---------------------------------------------------------------------------
-# Obtainability closures and maximal subconfigurations.
+# Obtainability closure.
 # ---------------------------------------------------------------------------
 
 
@@ -471,39 +467,3 @@ def is_1ext_obtainable(ps: PointSet) -> bool:
     edges = rits_of(ps)
     full = ps.member_set
     return any(_closure(t, edges) == full for t in edges)
-
-
-def _maximal_closure(ps: PointSet, edges, kind: str) -> PointSet:
-    if not edges:
-        raise ValueError(f"point set spans no {kind}")
-    best: list[frozenset] = []
-    for e in edges:
-        c = _closure(e, edges)
-        if not best or len(c) > len(best[0]):
-            best = [c]
-        elif len(c) == len(best[0]) and c not in best:
-            best.append(c)
-    if len(best) == 1:
-        return PointSet.of(best[0])
-    candidates = [PointSet.of(c) for c in best]
-    return min(candidates, key=lambda p: canonical_key(p).data)
-
-
-def maximal_1ext_subconfig(ps: PointSet) -> PointSet:
-    """A maximum-cardinality 1-extension-obtainable subset of P.
-
-    Ties between distinct maximum closures break by minimal canonical key.
-    """
-    return _maximal_closure(ps, rits_of(ps), "rit")
-
-
-def is_2ext_obtainable(ps: PointSet) -> bool:
-    """True iff P is a 2-extension closure of one of its own squares."""
-    edges = squares_of(ps)
-    full = ps.member_set
-    return any(_closure(sq, edges) == full for sq in edges)
-
-
-def maximal_2ext_subconfig(ps: PointSet) -> PointSet:
-    """A maximum-cardinality 2-extension-obtainable subset of P."""
-    return _maximal_closure(ps, squares_of(ps), "square")

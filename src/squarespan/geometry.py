@@ -4,8 +4,7 @@ All coordinates are Python ints (arbitrary precision), all predicates are
 exact.  The two counting routines for each figure type are deliberately
 independent implementations (completion-based and subset-scan) so that one
 can serve as an oracle for the other.  The module also holds the one
-pair-completion primitive, ``pair_completions`` in doubled coordinates,
-and the one decomposition of a set at a point, ``decompose_at``.
+pair-completion primitive, ``pair_completions`` in doubled coordinates.
 
 Conventions used throughout the package:
 
@@ -261,27 +260,6 @@ def rits_of(ps: PointSet) -> list[tuple[Point, Point, Point]]:
     return [t for t in itertools.combinations(ps.points, 3) if is_rit(*t)]
 
 
-def square_degrees(ps: PointSet):
-    """Square-degree of every point, plus the (min, max) degree.
-
-    The degree of a point is the number of spanned squares containing it;
-    the degrees sum to 4 * count_squares(P).
-    """
-    deg = {p: 0 for p in ps.points}
-    for sq in squares_of(ps):
-        for v in sq:
-            deg[v] += 1
-    return deg, (min(deg.values()), max(deg.values()))
-
-
-def is_reduced(ps: PointSet) -> bool:
-    """True iff every point lies in at least one spanned rit."""
-    covered = set()
-    for t in rits_of(ps):
-        covered.update(t)
-    return len(covered) == len(ps)
-
-
 # ---------------------------------------------------------------------------
 # Pair roles inside a square.
 #
@@ -291,8 +269,6 @@ def is_reduced(ps: PointSet) -> bool:
 # are well defined by ordering alone:
 #   e1={v1,v2}  e2={v1,v3}  e3={v2,v4}  e4={v3,v4}  d1={v1,v4}  d2={v2,v3}
 # ---------------------------------------------------------------------------
-
-PAIR_ROLES = ("e1", "e2", "e3", "e4", "d1", "d2")
 
 _ROLE_BY_INDEX = {
     (0, 1): "e1",
@@ -333,99 +309,3 @@ def leftmost_edge_conflicts(ps: PointSet) -> list[tuple[Point, Point]]:
         for pair in itertools.combinations(sq, 2):
             roles.setdefault(pair, set()).add(classify_pair(sq, pair))
     return sorted(p for p, rs in roles.items() if "e1" in rs and "e2" in rs)
-
-
-# ---------------------------------------------------------------------------
-# Neighborhood graphs and decompositions at a point.
-# ---------------------------------------------------------------------------
-
-
-def neighborhood_graph(ps: PointSet, p: Point):
-    """Vertices and edges of the neighborhood graph of ``p``.
-
-    Vertices are the points sharing a square with p; x, y are adjacent iff
-    some square contains p, x and y, i.e. every square through p
-    contributes a triangle on its other three vertices.  Three points lie
-    in at most one square, so each edge determines its square uniquely.
-    """
-    if p not in ps:
-        raise ValueError(f"{p} not in point set")
-    vertices: set[Point] = set()
-    edges: set[tuple[Point, Point]] = set()
-    for sq in squares_of(ps):
-        if p not in sq:
-            continue
-        rest = [v for v in sq if v != p]
-        vertices.update(rest)
-        for a, b in itertools.combinations(rest, 2):
-            edge = (a, b) if a < b else (b, a)
-            if edge in edges:
-                raise RuntimeError("edge in two squares through p")
-            edges.add(edge)
-    return sorted(vertices), sorted(edges)
-
-
-def neighborhood(ps: PointSet, p: Point) -> PointSet:
-    """p together with all vertices of squares through p."""
-    vertices, _ = neighborhood_graph(ps, p)
-    return PointSet.of([p] + vertices)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Parts {p} + C for the components C of the neighborhood graph at
-    the root point p, in lexicographic order of their point tuples.
-
-    ``square_closed[i]`` reports whether every square of the input meets
-    part i in 0, 1 or 4 vertices (the condition under which the part
-    behaves like an independent 2-extension component).
-    """
-
-    root: Point
-    parts: tuple[PointSet, ...]
-    square_closed: tuple[bool, ...]
-
-
-def decompose_at(ps: PointSet, p: Point) -> Decomposition:
-    """Split the neighborhood of p into its graph components.
-
-    Requires P to equal the neighborhood of p (restrict first); validates
-    that parts pairwise intersect in {p} and that every square through p
-    lies inside a single part.
-    """
-    vertices, edges = neighborhood_graph(ps, p)
-    if len(vertices) + 1 != len(ps):  # vertices is a subset of P - {p}
-        raise ValueError("point set is not the neighborhood of p")
-    adj: dict[Point, list[Point]] = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[Point] = set()
-    parts = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comp.add(p)
-        parts.append(PointSet.of(comp))
-    parts.sort(key=lambda part: part.points)
-    for a, b in itertools.combinations(parts, 2):
-        if a.member_set & b.member_set != {p}:
-            raise RuntimeError("two parts meet outside the root point")
-    sqs = squares_of(ps)
-    for sq in sqs:
-        if p in sq and not any(all(v in part.member_set for v in sq)
-                               for part in parts):
-            raise RuntimeError("a square through the root spans two parts")
-    closed = tuple(
-        all(sum(v in part.member_set for v in sq) in (0, 1, 4) for sq in sqs)
-        for part in parts)
-    return Decomposition(root=p, parts=tuple(parts), square_closed=closed)

@@ -205,12 +205,6 @@ def parse_oss(text: str) -> OrientedSquareSet:
     return OrientedSquareSet(order=order, squares=tuple(squares))
 
 
-def render_oss(oss: OrientedSquareSet) -> str:
-    lines = [f"n={oss.order}"]
-    lines.extend(" ".join(str(v) for v in q) for q in oss.squares)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Linear systems and exact elimination.
 # ---------------------------------------------------------------------------

@@ -126,22 +126,16 @@ def similar(a: PointSet, b: PointSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def centered_key(pts: tuple[Point, ...],
-                 marked: Point | None = None) -> tuple[int, ...]:
+def centered_key(pts: tuple[Point, ...]) -> tuple[int, ...]:
     """Fast complete similarity invariant of a tuple of distinct points.
 
     Returns a flat int tuple: (common denominator, x1, y1, ..., xn, yn)
-    of the minimal centered image in lowest terms.  With a ``marked``
-    point of the set, equal keys mean that some similarity maps one set
-    onto the other carrying marked point to marked point; the marked
-    point's image is then appended to the encoding.  The key of a
-    scaled copy of the set is the key of the set.
+    of the minimal centered image in lowest terms.  The key of a scaled
+    copy of the set is the key of the set.
     """
     n = len(pts)
     if n < 2:
         raise ValueError("centered key needs at least two points")
-    if marked is not None and marked not in pts:
-        raise ValueError("marked point must belong to the set")
     sx = 0
     sy = 0
     for x, y in pts:
@@ -154,24 +148,16 @@ def centered_key(pts: tuple[Point, ...],
         cands = (w[norms.index(top)],)
     else:
         cands = [p for p, nm in zip(w, norms) if nm == top]
-    if marked is not None:
-        mx = n * marked[0] - sx
-        my = n * marked[1] - sy
     best = None
     for ux, uy in cands:
         fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
         image = sorted(fwd)
         x0, y0 = image[0]
-        if marked is not None:
-            fm = (mx * ux + my * uy, my * ux - mx * uy)
-            image.append(fm)
         # When the least x is taken by one point only and its y is
         # negative, the image's first point beats the mirror's (x0, -y0),
         # so the mirror is neither used nor needed.
         if y0 >= 0 or image[1][0] == x0:
             mirror = sorted([(x, -y) for x, y in fwd])
-            if marked is not None:
-                mirror.append((fm[0], -fm[1]))
             if mirror < image:
                 image = mirror
         # Both reflections have the same content, and dividing by it
@@ -184,23 +170,11 @@ def centered_key(pts: tuple[Point, ...],
     return best
 
 
-def key_to_pointset(key: tuple[int, ...], marked: bool = False):
+def key_to_pointset(key: tuple[int, ...]) -> PointSet:
     """Integer representative of a ``centered_key`` class: the key's own
-    numerator points, grid-normalized.  Deterministic across platforms.
-
-    For a marked key returns (PointSet, marked point) with the marked
-    point expressed in the representative's coordinates.
-    """
+    numerator points, grid-normalized.  Deterministic across platforms."""
     coords = key[1:]
-    pts = _normalize(tuple(zip(coords[::2], coords[1::2])))
-    if not marked:
-        return PointSet.of(pts)
-    # The marked image is one of the key's points, so normalizing it with
-    # them leaves the shift and the divisor unchanged.
-    ps, mp = PointSet.of(pts[:-1]), pts[-1]
-    if mp not in ps:
-        raise ValueError("marked image missing from key points")
-    return ps, mp
+    return PointSet.of(_normalize(tuple(zip(coords[::2], coords[1::2]))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``FORCED_FIFTH`` is a ten-point set spanning exactly five squares, four of
 which already determine the fifth; the label -> point map drives the
-neighborhood and decomposition tests.  The oriented square sets form a
+square-list and root-degree tests.  The oriented square sets form a
 chain of extensions whose solution-space dimensions and realizability
 verdicts are pinned in test_realize.py.
 """

@@ -42,7 +42,7 @@ def test_scan_reaches_the_certifying_functions():
     assert {("beam", "_finalize"), ("realize", "is_realizable"),
             ("realize", "strict_witness"), ("realize", "rationalize"),
             ("bounds", "ilp_assignment_from_pointset"),
-            ("geometry", "count_squares"), ("geometry", "decompose_at"),
+            ("geometry", "count_squares"), ("geometry", "count_rit"),
             ("realize", "OrientedSquareSet.__post_init__")} <= names
 
 

@@ -3,7 +3,6 @@ import pytest
 from squarespan.corpus import (
     CorpusParseError,
     CorpusRecord,
-    load_default_corpus,
     parse_corpus,
     record_metric,
     render_corpus,
@@ -13,7 +12,12 @@ from squarespan.corpus import (
 )
 from squarespan.geometry import PointSet, count_rit, count_squares
 from squarespan.similarity import similar
-from squarespan.tables import RIT_EXACT, SQUARE_EXACT
+from squarespan.tables import (
+    AXIS_PARALLEL_LOWER,
+    HAMMING_FREE_LOWER,
+    RIT_EXACT,
+    SQUARE_EXACT,
+)
 
 MINIMAL = """\
 ---
@@ -64,11 +68,21 @@ class TestParsing:
         lambda t: t.replace("x.", "x"),             # ragged row
         lambda t: t.replace("family=rit", "family=pentagon"),
         lambda t: t.replace("grid:\n", ""),         # rows before grid marker
+        lambda t: t.replace("n=3", "n=four"),       # non-integer n
+        lambda t: t.replace("expected=1", "expected=1.5"),
     ])
     def test_malformed_inputs_raise_with_line_number(self, mutation):
         with pytest.raises(CorpusParseError) as exc:
             parse_corpus(mutation(MINIMAL))
         assert "line" in str(exc.value)
+
+    @pytest.mark.parametrize("field, line", [("n", 4), ("expected", 5)])
+    def test_non_integer_field_names_its_line(self, field, line):
+        text = MINIMAL.replace(f"{field}=", f"{field}=x")
+        with pytest.raises(CorpusParseError) as exc:
+            parse_corpus(text)
+        assert exc.value.line == line
+        assert f"{field}= is not an integer" in str(exc.value)
 
     def test_blank_line_inside_grid_rejected(self):
         with pytest.raises(CorpusParseError):
@@ -114,6 +128,13 @@ class TestDefaultCorpus:
             assert all(r.expected == value for r in by_group[("rit", n)])
         for n, value in SQUARE_EXACT.items():
             assert all(r.expected == value for r in by_group[("square", n)])
+        for family, table in (("hamming-free", HAMMING_FREE_LOWER),
+                              ("axis-parallel", AXIS_PARALLEL_LOWER)):
+            best = {}
+            for (fam, n), recs in by_group.items():
+                if fam == family:
+                    best[n] = max(r.expected for r in recs)
+            assert best == table, family
 
     def test_hamming_free_records(self, corpus_records):
         recs = [r for r in corpus_records if r.family == "hamming-free"]
@@ -162,3 +183,16 @@ class TestVerificationFailures:
         assert not report.passed
         assert any({c.id_a, c.id_b} == {"rit-8-1", "rit-8-x"}
                    for c in report.collisions)
+
+    def test_hamming_free_shared_pair_rejected(self):
+        # The 3x3 grid spans 6 squares, as claimed, but the pair
+        # (0,-1)-(1,-1) is an edge of two unit squares.
+        grid = CorpusRecord(id="hamming-free-9-x", family="hamming-free",
+                            n=9, expected=6, grid=("xxx", "xxx", "xxx"))
+        assert ((0, -1), (1, -1)) in shared_pair_squares(grid.point_set())
+        report = verify_corpus([grid])
+        assert not report.passed
+        (res,) = report.records
+        assert not res.passed and res.computed == 6
+        assert "lie in two squares" in res.note
+        assert "lie in two squares" in report.summary()

@@ -17,9 +17,6 @@ from squarespan.extension import (
     _unpack,
     enumerate_classes,
     is_1ext_obtainable,
-    is_2ext_obtainable,
-    maximal_1ext_subconfig,
-    maximal_2ext_subconfig,
     one_extensions,
     root_degrees,
     two_extensions,
@@ -28,10 +25,8 @@ from squarespan.geometry import (
     PointSet,
     count_rit,
     count_squares,
-    decompose_at,
     is_rit,
     is_square,
-    neighborhood,
 )
 from squarespan.similarity import (
     centered_key,
@@ -51,11 +46,6 @@ UNIT_SQUARE = PointSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
 GRID3 = PointSet.of([(x, y) for x in range(3) for y in range(3)])
 TWO_FAR_SQUARES = PointSet.of(
     [(0, 0), (1, 0), (0, 1), (1, 1), (10, 0), (11, 0), (10, 1), (11, 1)])
-
-
-def labels(part):
-    inv = {v: k for k, v in FORCED_FIFTH.items()}
-    return sorted(inv[p] for p in part.points)
 
 
 class TestSingleSteps:
@@ -402,21 +392,6 @@ class TestObtainability:
         assert is_1ext_obtainable(FORCED_FIFTH_SET)
         assert not is_1ext_obtainable(TWO_FAR_SQUARES)
 
-    def test_maximal_one_extension_subconfig(self):
-        sub = maximal_1ext_subconfig(TWO_FAR_SQUARES)
-        assert len(sub) == 4
-        assert count_rit(sub) == 4
-        assert maximal_1ext_subconfig(FORCED_FIFTH_SET) == FORCED_FIFTH_SET
-
-    def test_two_extension_closure(self):
-        assert is_2ext_obtainable(UNIT_SQUARE)
-        assert is_2ext_obtainable(FORCED_FIFTH_SET)
-        stranded = PointSet.of(
-            [(0, 0), (5, 0), (0, 5), (5, 5), (3, 6), (2, 4)])
-        assert not is_2ext_obtainable(stranded)
-        assert maximal_2ext_subconfig(stranded).points == (
-            (0, 0), (0, 5), (5, 0), (5, 5))
-
 
 class TestRootsAndNeighborhoods:
     def test_unit_square_roots(self):
@@ -429,25 +404,10 @@ class TestRootsAndNeighborhoods:
         assert root_degrees(FORCED_FIFTH_SET) == []
 
     def test_neighborhoods(self):
-        n9 = neighborhood(FORCED_FIFTH_SET, FORCED_FIFTH[9])
-        assert labels(n9) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
-        n2 = neighborhood(FORCED_FIFTH_SET, FORCED_FIFTH[2])
-        assert labels(n2) == [1, 2, 3, 4, 5, 9, 10]
-
-    def test_decompose_requires_neighborhood(self):
-        with pytest.raises(ValueError):
-            decompose_at(FORCED_FIFTH_SET, FORCED_FIFTH[2])
-
-    def test_decompose_at_two(self):
-        sub = neighborhood(FORCED_FIFTH_SET, FORCED_FIFTH[2])
-        dec = decompose_at(sub, FORCED_FIFTH[2])
-        assert [labels(p) for p in dec.parts] == [[1, 2, 3, 4], [2, 5, 9, 10]]
-        assert dec.square_closed == (True, True)
-
-    def test_decompose_at_nine(self):
-        sub = PointSet.of(FORCED_FIFTH[k] for k in range(2, 11))
-        dec = decompose_at(sub, FORCED_FIFTH[9])
-        assert [labels(p) for p in dec.parts] == [
-            [2, 5, 9, 10], [3, 4, 6, 7, 8, 9]]
-        # the part {3,4,6,7,8,9} cuts the square {4,5,6,7} in three vertices
-        assert dec.square_closed == (True, False)
+        # The squares through 9 cover labels 2..10, and those through 2
+        # cover 1, 2, 3, 4, 5, 9, 10; each set has that point as its
+        # only root.
+        n9 = PointSet.of(FORCED_FIFTH[k] for k in range(2, 11))
+        assert root_degrees(n9) == [3]
+        n2 = PointSet.of(FORCED_FIFTH[k] for k in (1, 2, 3, 4, 5, 9, 10))
+        assert root_degrees(n2) == [2]

@@ -15,16 +15,12 @@ from squarespan.geometry import (
     count_rit_subsets,
     count_squares,
     count_squares_subsets,
-    decompose_at,
-    is_reduced,
     is_rit,
     is_square,
     leftmost_edge_conflicts,
-    neighborhood_graph,
     pair_completions,
     rits_of,
     sqdist,
-    square_degrees,
     squares_of,
     srit_minus_3sq,
 )
@@ -231,20 +227,6 @@ class TestEnumerators:
             frozenset({3, 4, 6, 9})}
 
 
-class TestDegreesAndReduction:
-    def test_grid_degrees(self):
-        deg, (dmin, dmax) = square_degrees(GRID3)
-        assert (dmin, dmax) == (2, 4)
-        assert deg[(1, 1)] == 4
-        assert sum(deg.values()) == 4 * count_squares(GRID3)
-
-    def test_is_reduced(self):
-        assert is_reduced(GRID3)
-        assert is_reduced(PointSet.of([(0, 0), (1, 0), (0, 1)]))
-        assert not is_reduced(
-            PointSet.of(list(GRID3.points) + [(50, 50)]))
-
-
 class TestPairRoles:
     SQ = tuple(sorted([(0, 0), (0, 1), (1, 0), (1, 1)]))
 
@@ -269,37 +251,3 @@ class TestPairRoles:
     def test_no_leftmost_edge_conflicts(self):
         for ps in (UNIT_SQUARE, GRID3, FORCED_FIFTH_SET):
             assert leftmost_edge_conflicts(ps) == []
-
-
-class TestNeighborhoodsAndDecompositions:
-    def lab(self, part):
-        inv = {v: k for k, v in FORCED_FIFTH.items()}
-        return sorted(inv[p] for p in part.points)
-
-    def test_neighborhood_graph_shape(self):
-        vertices, edges = neighborhood_graph(FORCED_FIFTH_SET, FORCED_FIFTH[2])
-        inv = {v: k for k, v in FORCED_FIFTH.items()}
-        assert sorted(inv[v] for v in vertices) == [1, 3, 4, 5, 9, 10]
-        assert len(edges) == 6  # two squares through the point, a triangle each
-
-    def test_neighborhood_graph_requires_membership(self):
-        with pytest.raises(ValueError):
-            neighborhood_graph(UNIT_SQUARE, (9, 9))
-
-    def test_decomposition_two_parts(self):
-        sub = PointSet.of(
-            FORCED_FIFTH[k] for k in (1, 2, 3, 4, 5, 9, 10))
-        dec = decompose_at(sub, FORCED_FIFTH[2])
-        assert dec.root == FORCED_FIFTH[2]
-        assert [self.lab(p) for p in dec.parts] == [
-            [1, 2, 3, 4], [2, 5, 9, 10]]
-        assert dec.square_closed == (True, True)
-
-    def test_decomposition_violations_reported(self):
-        # Splitting at a point whose parts cut squares 2-3 ways is flagged.
-        sub = PointSet.of(FORCED_FIFTH[k] for k in range(2, 11))
-        dec = decompose_at(sub, FORCED_FIFTH[9])
-        cut = [self.lab(p) for p, closed
-               in zip(dec.parts, dec.square_closed) if not closed]
-        # the square {4,5,6,7} meets that part in 3 vertices
-        assert cut == [[3, 4, 6, 7, 8, 9]]

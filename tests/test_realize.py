@@ -31,7 +31,6 @@ from squarespan.realize import (
     oss_from_pointset,
     parse_oss,
     rationalize,
-    render_oss,
     solve_gauged,
     solve_space,
     strict_witness,
@@ -69,8 +68,10 @@ class TestOrientedSquareSet:
         with pytest.raises(ValueError):
             oss_from_pointset(ps, labeling=[(0, 0), (1, 0), (0, 1)])
 
-    def test_parse_render_round_trip(self):
-        text = render_oss(FOUR_SQUARES_10)
+    def test_parse_literal_text(self):
+        text = ("# three squares of the chain, then the fourth\n"
+                "n=10\n1 3 4 2\n2 5 9 8\n4 7 6 5\n\n"
+                "3 6 8 10  # on the tenth label\n")
         assert parse_oss(text) == FOUR_SQUARES_10
 
     def test_parse_rejects_malformed(self):

@@ -38,7 +38,7 @@ similarities = st.tuples(
     st.booleans())
 
 
-def reference_centered_key(pts, marked=None):
+def reference_centered_key(pts):
     """The earlier ``centered_key``, kept as the byte-identity reference.
 
     It reduces the centered coordinates by their content first, keeps
@@ -61,19 +61,12 @@ def reference_centered_key(pts, marked=None):
             cands = [(x, y)]
         elif nm == best_norm:
             cands.append((x, y))
-    if marked is not None:
-        mx = (n * marked[0] - sx) // g
-        my = (n * marked[1] - sy) // g
     best = None
     for ux, uy in cands:
         fwd = [(x * ux + y * uy, y * ux - x * uy) for x, y in w]
         c = gcd(best_norm, *chain.from_iterable(fwd))
         image = sorted(fwd)
         mirror = sorted([(x, -y) for x, y in fwd])
-        if marked is not None:
-            fm = (mx * ux + my * uy, my * ux - mx * uy)
-            image.append(fm)
-            mirror.append((fm[0], -fm[1]))
         if mirror < image:
             image = mirror
         enc = (best_norm // c, *(v // c for v in chain.from_iterable(image)))
@@ -103,12 +96,6 @@ SYMMETRIC_SETS = {
 }
 
 
-@st.composite
-def marked_sets(draw):
-    ps = draw(point_sets_2plus)
-    return ps, draw(st.sampled_from(ps.points))
-
-
 class TestCenteredKeyReference:
     """``centered_key`` gives the reference key byte for byte."""
 
@@ -117,35 +104,21 @@ class TestCenteredKeyReference:
     def test_equals_reference(self, ps):
         assert centered_key(ps.points) == reference_centered_key(ps.points)
 
-    @settings(max_examples=150, deadline=None)
-    @given(marked_sets())
-    def test_equals_reference_marked(self, case):
-        ps, p = case
-        assert centered_key(ps.points, p) == \
-            reference_centered_key(ps.points, p)
-
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_SETS))
     def test_symmetric_sets(self, name):
         pts, ties = SYMMETRIC_SETS[name]
         assert maximal_norm_count(pts) == ties
         assert centered_key(pts) == reference_centered_key(pts)
-        for p in pts:
-            assert centered_key(pts, p) == reference_centered_key(pts, p)
 
     @settings(max_examples=100, deadline=None)
-    @given(marked_sets())
-    def test_doubling_keeps_the_key(self, case):
-        ps, (px, py) = case
+    @given(point_sets_2plus)
+    def test_doubling_keeps_the_key(self, ps):
         doubled = tuple((2 * x, 2 * y) for x, y in ps.points)
         assert centered_key(doubled) == centered_key(ps.points)
-        assert centered_key(doubled, (2 * px, 2 * py)) == \
-            centered_key(ps.points, (px, py))
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             centered_key(((0, 0),))
-        with pytest.raises(ValueError, match="marked point"):
-            centered_key(UNIT_SQUARE.points, (5, 5))
 
 
 class TestCanonicalKey:
@@ -202,24 +175,6 @@ class TestCenteredKey:
         assert similar(rebuilt, ps)
         assert count_squares(rebuilt) == count_squares(ps)
         assert count_rit(rebuilt) == count_rit(ps)
-
-    def test_marked_key_symmetry(self):
-        keys = {centered_key(UNIT_SQUARE.points, p)
-                for p in UNIT_SQUARE.points}
-        assert len(keys) == 1  # all four vertices are equivalent
-
-    def test_marked_key_asymmetry(self):
-        ell = PointSet.of([(0, 0), (1, 0), (2, 0), (0, 1)])
-        keys = {centered_key(ell.points, p) for p in ell.points}
-        assert len(keys) == 4  # no two points play the same role
-
-    def test_marked_round_trip(self):
-        ell = PointSet.of([(0, 0), (1, 0), (2, 0), (0, 1)])
-        for p in ell.points:
-            key = centered_key(ell.points, p)
-            rebuilt, mark = key_to_pointset(key, marked=True)
-            assert similar(rebuilt, ell)
-            assert mark in rebuilt
 
 
 class TestSimilar:
