@@ -19,13 +19,15 @@ the baseline's entry is appended before the tree's.
 A tree with uncommitted changes is recorded as its HEAD commit with a
 ``-dirty`` suffix; ``--commit`` names the commit outright.
 
-    python3 bench/record.py --enum square-2ext 13 [--baseline OLD_TREE]
+    python3 bench/record.py --enum square-2ext 13 [--threads 2] \
+        [--baseline OLD_TREE]
 
-times one long enumeration instead: ``enumerate_classes(MODE, N_MAX)``
-runs once per tree in a fresh ``python3`` process on the tree's ``src``,
-and one entry per tree goes to ``BENCH_tables.json``: the commit, the
-mode and n_max, the call's wall time, the process's peak RSS, the number
-of classes and whether the run completed.
+times one long enumeration instead: ``enumerate_classes(MODE, N_MAX,
+threads=THREADS)`` runs once per tree in a fresh ``python3`` process on
+the tree's ``src``, and one entry per tree goes to ``BENCH_tables.json``:
+the commit, the mode, n_max and threads, the call's wall time, the
+process's peak RSS (the calling process only, pool workers aside), the
+number of classes and whether the run completed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ _ENUM = """
 import json, resource, sys, time
 from squarespan.extension import enumerate_classes
 start = time.perf_counter()
-table = enumerate_classes(sys.argv[1], int(sys.argv[2]))
+table = enumerate_classes(sys.argv[1], int(sys.argv[2]),
+                          threads=int(sys.argv[3]))
 wall = time.perf_counter() - start
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"wall_s": round(wall, 2),
@@ -101,9 +104,10 @@ def now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def run_enum(tree: Path, commit: str, mode: str, n_max: int) -> dict:
+def run_enum(tree: Path, commit: str, mode: str, n_max: int,
+             threads: int) -> dict:
     """The BENCH_tables.json entry of one enumeration run in ``tree``."""
-    cmd = [sys.executable, "-c", _ENUM, mode, str(n_max)]
+    cmd = [sys.executable, "-c", _ENUM, mode, str(n_max), str(threads)]
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                           text=True)
@@ -112,7 +116,7 @@ def run_enum(tree: Path, commit: str, mode: str, n_max: int) -> dict:
         raise SystemExit(f"record: enumerate_classes({mode!r}, {n_max}) "
                          f"failed in {tree}:\n{proc.stderr}")
     return {"commit": commit, "recorded": now(), "mode": mode,
-            "n_max": n_max, **json.loads(lines[-1])}
+            "n_max": n_max, "threads": threads, **json.loads(lines[-1])}
 
 
 def entry(commit: str, workload: str, seconds: float, runs: list) -> dict:
@@ -146,6 +150,8 @@ def main(argv=None) -> int:
     what.add_argument("--workload")
     what.add_argument("--enum", nargs=2, metavar=("MODE", "N_MAX"),
                       help="time enumerate_classes(MODE, N_MAX) instead")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes of the --enum run")
     parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--tree", type=Path, default=ROOT,
@@ -162,6 +168,8 @@ def main(argv=None) -> int:
         parser.error("--workload needs --seeds")
     if args.enum is not None and not args.enum[1].isdigit():
         parser.error("--enum needs an integer N_MAX")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
 
     trees = [(args.tree, args.commit or tree_commit(args.tree))]
     if args.baseline is not None:
@@ -171,7 +179,8 @@ def main(argv=None) -> int:
         mode, n_max = args.enum[0], int(args.enum[1])
         entries = []
         for tree, commit in trees:
-            entries.append(run_enum(tree, commit, mode, n_max))
+            entries.append(run_enum(tree, commit, mode, n_max,
+                                    args.threads))
             print(f"record: {tree}: {entries[-1]}", file=sys.stderr)
         append(args.out / "BENCH_tables.json", entries)
         return 0 if all(e["complete"] for e in entries) else 1

@@ -43,9 +43,13 @@ which the squares through some single vertex (a root) cover the whole
 set.  Children without a root are pruned before storage and expansion,
 so a class is counted exactly when some 2-extension chain from the unit
 square passes through neighborhood point sets only; the root is free to
-move from level to level.  delta_max records the largest root degree
-per cell.  ``root_degrees`` is the package's one test for a
-neighborhood point set.
+move from level to level.  A child is tested without rebuilding it:
+each parent point's cover (the points of the squares through it) is
+made once per parent, and the child adds only the squares through its
+one or two new points (``_has_root``).  ``root_degrees`` lists a set's
+roots from all of its squares; it is the cover test's oracle in the
+tests, and it gives delta_max, the largest root degree per cell, from
+each stored class.
 """
 
 from __future__ import annotations
@@ -338,24 +342,80 @@ def root_degrees(ps: PointSet) -> list[int]:
     return out
 
 
+def _covers(ps: PointSet) -> dict[Point, set[Point]]:
+    """Doubled point of P -> the doubled points of the squares through
+    it, the point itself included."""
+    cover = {p: {p} for p in _doubled(ps.points)}
+    for sq in squares_of(ps):
+        sq2 = _doubled(sq)
+        for p in sq2:
+            cover[p].update(sq2)
+    return cover
+
+
+def _has_root(cover, new) -> bool:
+    """True iff the doubled parent with covers ``cover`` (from _covers)
+    plus the doubled points ``new`` is a neighborhood point set.
+
+    The child's squares are the parent's plus the new squares, those
+    through a new point.  Each square through a new point v has exactly
+    one vertex diagonal to v, so completing v with every other point as
+    a diagonal finds each of them once.  A root's cover holds v, so only
+    vertices of new squares can be roots: a new point covers the child
+    with its new squares alone, a parent point with its cover plus the
+    new squares through it.
+    """
+    child = cover.keys() | new
+    size = len(child)
+    extra: dict[Point, set[Point]] = {}
+    for v in new:
+        vx, vy = v
+        for q in child:
+            if q == v:
+                continue
+            qx, qy = q
+            # (v, q) as a diagonal, inline as in geometry.squares_of
+            ax = vx + qx - qy + vy
+            if ax & 1:
+                continue
+            ay = vy + qy + qx - vx
+            bx = vx + qx + qy - vy
+            by = vy + qy - qx + vx
+            a = (ax >> 1, ay >> 1)
+            b = (bx >> 1, by >> 1)
+            if a in child and b in child:
+                sq = (v, q, a, b)
+                for p in sq:
+                    extra.setdefault(p, set()).update(sq)
+    for p, pts in extra.items():
+        if len(pts.union(cover.get(p, ()))) == size:
+            return True
+    return False
+
+
 def _expand_chunk(args):
     """Keyed children of (stored key, m) parents: a list of (step, stored
-    child key, child m).  ``floors`` as for _children; in neighborhood
-    mode children without a root are dropped before they are keyed.
-    Each child is built and keyed at twice its scale, which changes
-    neither its key nor its root degrees."""
+    child key, child m).  ``floors`` as for _children.  Each child is
+    built and keyed at twice its scale, which changes neither its key
+    nor its roots.
+
+    In neighborhood mode children without a root are dropped before
+    they are keyed.  The test reads the parent's covers, made once per
+    parent, and the squares through the child's new points
+    (``_has_root``); ``root_degrees`` is its oracle in the tests."""
     mode, items, floors = args
     square = mode != "rit-1ext"
     rooted_only = mode == "neighborhood-2ext"
     out = []
     for stored, m in items:
-        pts = key_to_pointset(_unpack(stored)).points
+        ps = key_to_pointset(_unpack(stored))
+        pts = ps.points
         pts2 = _doubled(pts)
+        cover = _covers(ps) if rooted_only else None
         for step, cm, new in _children(square, pts, pts2, m, floors):
-            child = pts2 + new
-            if rooted_only and not root_degrees(PointSet.of(child)):
+            if rooted_only and not _has_root(cover, new):
                 continue
-            out.append((step, _pack(centered_key(child)), cm))
+            out.append((step, _pack(centered_key(pts2 + new)), cm))
     return out
 
 

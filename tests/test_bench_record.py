@@ -83,13 +83,15 @@ def test_tree_without_git_needs_a_commit(record, tmp_path):
 
 
 # enumerate_classes as the enum timer calls it: entries and complete.
+# The class count grows with threads, so an entry shows what was passed.
 ENUM_STUB = textwrap.dedent("""\
     from pathlib import Path
     from types import SimpleNamespace
 
-    def enumerate_classes(mode, n_max):
+    def enumerate_classes(mode, n_max, threads):
         scale = int(Path("SCALE").read_text())
-        return SimpleNamespace(entries={(n_max, 1): scale, (4, 1): 1},
+        return SimpleNamespace(entries={(n_max, 1): scale,
+                                        (4, 1): threads},
                                complete=mode == "square-2ext")
     """)
 
@@ -115,12 +117,26 @@ def test_enum_run_appends_to_tables_history(record, tmp_path):
     assert [e["classes"] for e in history] == [6, 8]
     for e in history:
         assert e["mode"] == "square-2ext" and e["n_max"] == 9
+        assert e["threads"] == 1
         assert e["complete"] and e["wall_s"] >= 0 and e["peak_rss_mb"] > 0
 
     assert record.main(["--enum", "rit-1ext", "9", "--tree", str(new),
                         "--commit", "ccc", "--out", str(tmp_path)]) == 1
     history = json.loads((tmp_path / "BENCH_tables.json").read_text())
     assert not history[-1]["complete"]
+
+
+def test_enum_threads_reach_the_call_and_the_entry(record, tmp_path):
+    tree = enum_tree(tmp_path / "t", 5)
+    assert record.main(["--enum", "square-2ext", "9", "--threads", "2",
+                        "--tree", str(tree), "--commit", "aaa",
+                        "--out", str(tmp_path)]) == 0
+    (entry,) = json.loads((tmp_path / "BENCH_tables.json").read_text())
+    assert entry["threads"] == 2 and entry["classes"] == 7
+    with pytest.raises(SystemExit):
+        record.main(["--enum", "square-2ext", "9", "--threads", "0",
+                     "--tree", str(tree), "--commit", "aaa",
+                     "--out", str(tmp_path)])
 
 
 def test_workload_needs_seeds(record, tmp_path):

@@ -32,8 +32,6 @@ from squarespan.tables import (
     RIT_LOWER,
     SQUARE_EXACT,
     SQUARE_LOWER,
-    rit_lower_bound,
-    square_lower_bound,
 )
 
 

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 import squarespan.extension
 from configs import FORCED_FIFTH, FORCED_FIFTH_SET
 from squarespan.extension import (
+    _CHUNK,
+    _children,
+    _covers,
     _doubled,
     _expand_chunk,
+    _has_root,
     _pack,
     _rit_candidates,
     _square_candidates,
@@ -218,6 +222,25 @@ class TestEnumeration:
             if classes:
                 assert table.delta_max[(n, m)] == delta, (n, m)
 
+    @pytest.mark.slow
+    def test_neighborhood_two_extension_to_eighteen(self):
+        table = enumerate_classes("neighborhood-2ext", 18)
+        expected = {cell: NEIGHBORHOOD_2EXT_CORRECTIONS.get(cell, classes)
+                    for cell, (classes, _) in
+                    NEIGHBORHOOD_2EXT_CLASSES.items() if cell[0] <= 18}
+        expected = {cell: count for cell, count in expected.items() if count}
+        wrong = {cell: (table.entries.get(cell, 0), expected.get(cell, 0))
+                 for cell in set(table.entries) | set(expected)
+                 if table.entries.get(cell, 0) != expected.get(cell, 0)}
+        assert not wrong, wrong
+        # Past n = 14 the shipped delta_max reads at four cells as the
+        # largest square-degree of any point, not of a root; up to 14
+        # the two readings agree.
+        for cell in expected:
+            if cell[0] <= 14:
+                assert table.delta_max[cell] == \
+                    NEIGHBORHOOD_2EXT_CLASSES[cell][1], cell
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             enumerate_classes("triangles", 5)
@@ -279,13 +302,24 @@ class TestEnumeration:
         assert max(n for n, _ in table.entries) == 9
         assert max(sizes) == 9
 
-    def test_worker_pool_matches_serial(self, pool_starts):
-        serial = enumerate_classes("rit-1ext", 7)
+    # At these n_max some expanded level has more than _CHUNK parents:
+    # rit level 6 has 385, square level 10 has 420, neighborhood level
+    # 11 has 98.
+    @pytest.mark.parametrize("mode, n_max", [("rit-1ext", 7),
+                                             ("square-2ext", 11),
+                                             ("neighborhood-2ext", 12)])
+    def test_worker_pool_matches_serial(self, pool_starts, mode, n_max):
+        serial = enumerate_classes(mode, n_max)
         assert not pool_starts
-        pooled = enumerate_classes("rit-1ext", 7, threads=2)
-        assert pool_starts  # level 6 has 385 parents: several chunks
+        assert max(lv.parents for lv in serial.levels) > _CHUNK
+        pooled = enumerate_classes(mode, n_max, threads=2)
+        assert pool_starts
         assert pooled.entries == serial.entries
+        assert pooled.delta_max == serial.delta_max
         assert pooled.to_tsv() == serial.to_tsv()
+        assert [(lv.n, lv.parents, lv.keys, lv.stored)
+                for lv in pooled.levels] == \
+            [(lv.n, lv.parents, lv.keys, lv.stored) for lv in serial.levels]
 
 
 class TestPackedKeys:
@@ -362,6 +396,36 @@ class TestLevelRecords:
                  for cell in set(table.entries) | set(expected)
                  if table.entries.get(cell, 0) != expected.get(cell, 0)}
         assert not wrong, wrong
+
+
+def stored_classes(mode, n_max):
+    """The unit square and every class ``mode`` stores up to n_max, as
+    the grid-normalized point sets that _expand_chunk expands."""
+    found = [key_to_pointset(centered_key(UNIT_SQUARE.points))]
+    enumerate_classes(mode, n_max,
+                      class_filter=lambda ps, m: found.append(ps) or True)
+    return found
+
+
+class TestRootTestAgainstRootDegrees:
+    """_has_root, from the parent's covers and the new squares, against
+    root_degrees on the child rebuilt as a PointSet."""
+
+    @pytest.mark.parametrize("mode, n_max", [("neighborhood-2ext", 11),
+                                             ("square-2ext", 9)])
+    def test_every_child_of_every_parent(self, mode, n_max):
+        # Square-2ext parents have many children with no root.
+        rooted = rootless = 0
+        for ps in stored_classes(mode, n_max):
+            pts2 = _doubled(ps.points)
+            cover = _covers(ps)
+            for _, _, new in _children(True, ps.points, pts2, 0,
+                                       {1: 0, 2: 0}):
+                expected = bool(root_degrees(PointSet.of(pts2 + new)))
+                assert _has_root(cover, new) == expected, (ps, new)
+                rooted += expected
+                rootless += not expected
+        assert rooted and rootless
 
 
 class TestRootlessClassesExplainTheCorrection:

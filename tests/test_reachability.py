@@ -10,6 +10,9 @@ fails here until it gets a caller, or a reason to stay, or is deleted.
 
 The check is one level deep: a function named only by a listed oracle
 counts as reached.
+
+A second check scans ``src/``, ``tests/`` and ``bench/`` for imported
+names that the importing file never uses.
 """
 
 import ast
@@ -92,3 +95,41 @@ def test_scan_sees_the_package_and_the_benchmark():
     # reached from perfbench only, as a traced name or an operation
     assert "strict_witness" in named and "is_1ext_obtainable" in named
     assert SCRIPTS and all("test_" not in p.name for p in SCRIPTS)
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names that ``tree`` imports and never reads; a name listed in
+    the module's ``__all__`` counts as read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    files = [path for folder in ("src", "tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(files) > 20
+    unused = {str(path.relative_to(ROOT)): names for path in files
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert not unused, unused
+
+
+def test_unused_import_scan_sees_what_it_should():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, json\n"
+                     "from a import b, c as d\n"
+                     "__all__ = ['b']\n"
+                     "os.path.join(d)\n")
+    assert _unused_imports(tree) == ["json"]
