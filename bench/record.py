@@ -170,6 +170,8 @@ def main(argv=None) -> int:
         parser.error("--enum needs an integer N_MAX")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.threads != 1 and args.enum is None:
+        parser.error("--threads applies to --enum only")
 
     trees = [(args.tree, args.commit or tree_commit(args.tree))]
     if args.baseline is not None:

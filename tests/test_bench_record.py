@@ -137,6 +137,10 @@ def test_enum_threads_reach_the_call_and_the_entry(record, tmp_path):
         record.main(["--enum", "square-2ext", "9", "--threads", "0",
                      "--tree", str(tree), "--commit", "aaa",
                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit):
+        record.main(["--workload", "w", "--seeds", "1", "--threads", "2",
+                     "--tree", str(tree), "--commit", "aaa",
+                     "--out", str(tmp_path)])
 
 
 def test_workload_needs_seeds(record, tmp_path):
