@@ -13,8 +13,11 @@ operations were attempted and failed.
 
 With ``--baseline`` a second source tree, typically a checkout of an
 earlier commit, runs the same seeds.  The two trees alternate seed by
-seed, baseline first, so that a slow spell of the host falls on both;
-the baseline's entry is appended before the tree's.
+seed, so that a slow spell of the host falls on both, and which tree
+runs first alternates too: the baseline runs first on the 1st, 3rd, ...
+seed and second on the others, so that a drift within a pair falls on
+each side as often.  The baseline's entry is appended before the
+tree's, and each entry lists its runs in seed order.
 
 A tree with uncommitted changes is recorded as its HEAD commit with a
 ``-dirty`` suffix; ``--commit`` names the commit outright.
@@ -187,8 +190,9 @@ def main(argv=None) -> int:
         append(args.out / "BENCH_tables.json", entries)
         return 0 if all(e["complete"] for e in entries) else 1
     runs = [[] for _ in trees]
-    for seed in args.seeds:
-        for (tree, _), tree_runs in zip(trees, runs):
+    for k, seed in enumerate(args.seeds):
+        pairs = list(zip(trees, runs))
+        for (tree, _), tree_runs in pairs if k % 2 == 0 else pairs[::-1]:
             run = run_once(tree, args.workload, seed, args.seconds)
             tree_runs.append(run)
             print(f"record: {tree} seed {seed}: wall_s "

@@ -8,15 +8,20 @@ number z_j = x_j + i*y_j, each prescribed square (a, b, c, d) imposes
     z_d - z_a = i * (z_b - z_a)    (one side is the other rotated by 90)
 
 and the set is realizable exactly when the resulting linear system has a
-solution with pairwise distinct z_j.  Everything here is exact: each
-square gives four sparse rows of Fractions with four nonzero entries
-apiece, and systems are solved by Gauss-Jordan elimination over sparse
-rows, dropping entries that cancel.  Each solution space writes every
-label's point once as two affine forms on the space, its label table.
-Labels coincide in every solution exactly when their forms are equal,
-and a quadruple is forced when the forms of c and d equal the
-completion of the side a, b to a counterclockwise square, which a dict
-from forms to labels finds for all pairs in O(n^2) lookups.
+solution with pairwise distinct z_j.  Everything here is exact, and the
+solver and the scans run on Python ints.  Each square gives four sparse
+rows with four nonzero entries apiece; elimination keeps every row as a
+primitive integer row (gcd 1, positive leading entry) and reduces by
+cross-multiplication, so no fraction is formed until the reduced rows are
+read off as the space's Fraction particular solution and basis.  Each
+solution space writes every label's point once as two affine forms on
+the space, its label table, in integers: every form is scaled by the
+same D, the least common denominator of the space.  A common factor
+changes neither form equality nor whether a form vanishes, so labels
+coincide in every solution exactly when their forms are equal, and a
+quadruple is forced when the forms of c and d equal the completion of
+the side a, b to a counterclockwise square, which a dict from forms to
+labels finds for all pairs in O(n^2) lookups.
 Witnesses are the first integer point of the moment curve
 (B, B^2, ..., B^dim) where no avoided form group vanishes; a form that
 is not identically zero vanishes at no more than dim values of B, so the
@@ -36,10 +41,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from squarespan.geometry import PointSet, sqdist, squares_of
 from squarespan.similarity import normalize_to_grid
@@ -86,8 +92,8 @@ class SolutionSpace:
     particular: tuple[Fraction, ...]
     basis: tuple[tuple[Fraction, ...], ...]
     gauge: tuple[tuple[int, Fraction, Fraction], ...]
-    # The reduced pivot rows {column: {column: Fraction}} of the solve
-    # that made this space, for solve_gauged to continue from.
+    # The primitive integer pivot rows {column: {column: int}} of the
+    # solve that made this space, for solve_gauged to continue from.
     _pivots: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -106,10 +112,22 @@ class SolutionSpace:
         return [(v[2 * i], v[2 * i + 1]) for i in range(len(v) // 2)]
 
     @cached_property
+    def scaled(self) -> tuple:
+        """(D, D * particular, D * basis) in ints, where D is the least
+        common denominator of the particular solution and the basis."""
+        d = lcm(*(c.denominator for v in (self.particular, *self.basis)
+                  for c in v))
+
+        def scale(vec):
+            return tuple(c.numerator * (d // c.denominator) for c in vec)
+
+        return d, scale(self.particular), tuple(map(scale, self.basis))
+
+    @cached_property
     def table(self) -> list:
-        """Each label's point as its two coordinate forms: entry j - 1
-        holds (x_j, y_j).  Two labels coincide in every solution exactly
-        when their entries are equal."""
+        """Each label's point as its two coordinate forms, scaled by the
+        space's D: entry j - 1 holds (x_j, y_j).  Two labels coincide in
+        every solution exactly when their entries are equal."""
         return [(_form_on_space(self, ((2 * j, 1),)),
                  _form_on_space(self, ((2 * j + 1, 1),)))
                 for j in range(len(self.particular) // 2)]
@@ -194,12 +212,20 @@ def parse_oss(text: str) -> OrientedSquareSet:
         if order is None:
             if not line.startswith("n="):
                 raise ValueError(f"line {lineno}: expected 'n=<order>' first")
-            order = int(line[2:])
+            try:
+                order = int(line[2:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: order {line[2:]!r} is "
+                                 "not an integer") from None
             continue
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected four labels")
-        squares.append(tuple(int(p) for p in parts))
+        try:
+            squares.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise ValueError(f"line {lineno}: labels {line!r} are not all "
+                             "integers") from None
     if order is None:
         raise ValueError("missing 'n=<order>' line")
     return OrientedSquareSet(order=order, squares=tuple(squares))
@@ -230,61 +256,87 @@ def build_system(oss: OrientedSquareSet) -> list[dict]:
     return rows
 
 
-def _axpy(row: dict, f: Fraction, other: dict) -> None:
-    """row += f * other on sparse rows, dropping entries that cancel."""
+def _axpy(row: dict, g: int, f: int, other: dict) -> None:
+    """row = g * row + f * other on sparse integer rows, dropping entries
+    that cancel, then divided by the gcd of its entries."""
+    if g != 1:
+        for i in row:
+            row[i] *= g
     for i, c in other.items():
-        v = row.get(i)
-        v = f * c if v is None else v + f * c
+        v = row.get(i, 0) + f * c
         if v:
             row[i] = v
         else:
             del row[i]
+    d = gcd(*row.values())
+    if d > 1:
+        for i in row:
+            row[i] //= d
+
+
+def _cancel(row: dict, col: int, pivot: dict) -> None:
+    """Clear column ``col`` of ``row`` with the pivot row that leads
+    there, keeping the sign of row's other entries."""
+    lead, c = pivot[col], row[col]
+    d = gcd(lead, c)
+    _axpy(row, lead // d, -c // d, pivot)
 
 
 def _solve_affine(n_vars, rows, gauge=(), pivots=None):
-    """Exact elimination over sparse rows; returns a SolutionSpace, or
-    None if the rows are inconsistent.
+    """Exact elimination over sparse integer rows; returns a
+    SolutionSpace, or None if the rows are inconsistent.
 
-    Each row is {column: Fraction}, as :func:`build_system` gives them,
-    with any nonzero right-hand side under the key ``n_vars``; the rows
-    are copied, and an entry is dropped as soon as it cancels.
-    Rows are reduced one at a time against the pivot rows so far, which
-    stay in reduced row echelon form: a row's leading column is a new
-    pivot, and it is cleared from the earlier pivot rows.  ``pivots``
-    continues the reduction from the pivot rows of an earlier call
-    (copied, not changed); the result is the same as reducing the
-    earlier rows and ``rows`` together, since the reduced row echelon
-    form of a system is unique.  The space keeps its pivot rows for such
-    a continuation.
+    Each row is {column: rational}, as :func:`build_system` gives them,
+    with any nonzero right-hand side under the key ``n_vars``; a row is
+    copied with its denominators cleared.  Rows are reduced one at a
+    time against the pivot rows so far by cross-multiplication
+    (:func:`_axpy`), and an entry is dropped as soon as it cancels.  A
+    row left nonzero becomes a primitive pivot row, gcd 1 with a positive
+    leading entry; its leading column is a new pivot, and it is cleared
+    from the earlier pivot rows.  So each pivot row is a positive
+    multiple of a row of the reduced row echelon form, and only when the
+    space is read off does it give Fractions, entry / lead, exactly the
+    entries of that form, which is unique.  ``pivots`` continues the
+    reduction from the pivot rows of an earlier call (copied, not
+    changed); the result is the same as reducing the earlier rows and
+    ``rows`` together.  The space keeps its pivot rows for such a
+    continuation.
     """
     pivots = {} if pivots is None else {
         col: dict(piv) for col, piv in pivots.items()}
     for row in rows:
-        row = dict(row)
+        den = lcm(*(c.denominator for c in row.values()))
+        row = {i: c.numerator * (den // c.denominator)
+               for i, c in row.items() if c}
         for col in [c for c in row if c in pivots]:
-            _axpy(row, -row[col], pivots[col])
+            _cancel(row, col, pivots[col])
         if not row:
             continue
         lead = min(row)
         if lead == n_vars:
             return None
-        f = row[lead]
-        row = {i: c / f for i, c in row.items()}
+        d = gcd(*row.values())
+        if row[lead] < 0:
+            d = -d
+        if d != 1:
+            row = {i: c // d for i, c in row.items()}
         for piv in pivots.values():
             if lead in piv:
-                _axpy(piv, -piv[lead], row)
+                _cancel(piv, lead, row)
         pivots[lead] = row
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     particular = [zero] * n_vars
     for col, piv in pivots.items():
-        particular[col] = piv.get(n_vars, zero)
+        if n_vars in piv:
+            particular[col] = Fraction(piv[n_vars], piv[col])
     free = [i for i in range(n_vars) if i not in pivots]
     basis = []
     for f_col in free:
         vec = [zero] * n_vars
-        vec[f_col] = Fraction(1)
+        vec[f_col] = one
         for col, piv in pivots.items():
-            vec[col] = -piv.get(f_col, zero)
+            if f_col in piv:
+                vec[col] = Fraction(-piv[f_col], piv[col])
         basis.append(tuple(vec))
     return SolutionSpace(particular=tuple(particular), basis=tuple(basis),
                          gauge=tuple(gauge), _pivots=pivots)
@@ -332,7 +384,7 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
     zero = Fraction(0)
     one = Fraction(1)
     xa, xb = 2 * (a - 1), 2 * (b - 1)
-    rows = [{xa: one}, {xa + 1: one}, {xb: one}, {xb + 1: one, n_vars: one}]
+    rows = [{xa: 1}, {xa + 1: 1}, {xb: 1}, {xb + 1: 1, n_vars: 1}]
     gauged = _solve_affine(n_vars, rows, ((a, zero, zero), (b, zero, one)),
                            pivots=space._pivots)
     if gauged is None:
@@ -349,18 +401,20 @@ def solve_gauged(oss: OrientedSquareSet, gauge=None,
 
 def _form_on_space(space: SolutionSpace, terms) -> tuple:
     """A sparse ambient linear form, given as ((column, coefficient), ...),
-    as (constant, parameter coefficients) on the space."""
-    const = sum(c * space.particular[col] for col, c in terms)
-    lin = tuple(sum(c * b[col] for col, c in terms) for b in space.basis)
+    as (constant, parameter coefficients) on the space, in ints scaled by
+    the space's D (see :attr:`SolutionSpace.scaled`)."""
+    _, particular, basis = space.scaled
+    const = sum(c * particular[col] for col, c in terms)
+    lin = tuple(sum(c * b[col] for col, c in terms) for b in basis)
     return const, lin
 
 
 def _sub(f, g):
-    return f[0] - g[0], tuple(p - q for p, q in zip(f[1], g[1]))
+    return f[0] - g[0], tuple(map(operator.sub, f[1], g[1]))
 
 
 def _add(f, g):
-    return f[0] + g[0], tuple(p + q for p, q in zip(f[1], g[1]))
+    return f[0] + g[0], tuple(map(operator.add, f[1], g[1]))
 
 
 def _completion(table, a: int, b: int):
@@ -480,10 +534,11 @@ def _witness(oss: OrientedSquareSet, space: SolutionSpace,
             for a, b in pairs:
                 zc, zd = _completion(table, a, b)
                 rest = [v for v in range(a + 1, oss.order + 1) if v != b]
+                off_c = {v: _offsets(table, v, zc) for v in rest}
+                off_d = {v: _offsets(table, v, zd) for v in rest}
                 for c, d in itertools.permutations(rest, 2):
                     if (a, b, c, d) not in allowed:
-                        groups.append(
-                            _offsets(table, c, zc) + _offsets(table, d, zd))
+                        groups.append(off_c[c] + off_d[d])
         witness = tuple(gauged.points_at(rationalize(gauged, groups)))
     else:
         witness = tuple((Fraction(i), Fraction(0)) for i in range(oss.order))

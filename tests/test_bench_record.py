@@ -75,6 +75,33 @@ def test_appends_baseline_then_tree_entry(record, tmp_path):
     assert not history[-1]["correct"] and history[-1]["failed"] == 1
 
 
+def test_first_tree_alternates_from_seed_to_seed(record, tmp_path,
+                                                 monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        return {"seed": seed, "slowness": None, "correct": True,
+                "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": 1.0 if tree.name == "new" else 2.0}}
+
+    monkeypatch.setattr(record, "run_once", fake_run)
+    argv = ["--workload", "w", "--seeds", "5", "6", "7", "8", "9",
+            "--tree", str(tmp_path / "new"), "--commit", "bbb",
+            "--baseline", str(tmp_path / "old"), "--baseline-commit", "aaa",
+            "--out", str(tmp_path)]
+    assert record.main(argv) == 0
+    assert calls == [("old", 5), ("new", 5), ("new", 6), ("old", 6),
+                     ("old", 7), ("new", 7), ("new", 8), ("old", 8),
+                     ("old", 9), ("new", 9)]
+    # Entries and their runs keep their order: baseline first, by seed.
+    history = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert [e["commit"] for e in history] == ["aaa", "bbb"]
+    for e, wall in zip(history, (2.0, 1.0)):
+        assert [r["seed"] for r in e["runs"]] == [5, 6, 7, 8, 9]
+        assert e["median"] == {"wall_s": wall}
+
+
 def test_tree_without_git_needs_a_commit(record, tmp_path):
     tree = stub_tree(tmp_path / "t", 1.0)
     with pytest.raises(SystemExit, match="--commit"):

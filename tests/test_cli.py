@@ -187,6 +187,12 @@ class TestRealize:
     def test_missing_file(self, capsys):
         assert run(["realize", "/nonexistent/path.oss"]) == 2
 
+    @pytest.mark.parametrize(("text", "line"), [("n=x/1 2 3 4", 1),
+                                                ("n=4/1 2 3 a", 2)])
+    def test_non_integer_oss_names_its_line(self, capsys, text, line):
+        assert run(["realize", "--text", text]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_square_mode(self, capsys):

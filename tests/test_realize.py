@@ -22,7 +22,6 @@ from squarespan.geometry import PointSet, count_squares
 from squarespan.realize import (
     OrientedSquareSet,
     SolutionSpace,
-    _form_on_space,
     build_system,
     degenerate_pairs,
     forced_squares,
@@ -79,6 +78,14 @@ class TestOrientedSquareSet:
             parse_oss("5\n1 2 3 4\n")  # missing n= header
         with pytest.raises(ValueError):
             parse_oss("n=5\n1 2 3\n")  # wrong arity
+
+    def test_parse_names_the_line_of_a_non_integer_order(self):
+        with pytest.raises(ValueError, match="line 2: order 'x'"):
+            parse_oss("# header\nn=x\n1 2 3 4\n")
+
+    def test_parse_names_the_line_of_a_non_integer_label(self):
+        with pytest.raises(ValueError, match="line 3: labels '1 2 a 4'"):
+            parse_oss("n=5\n1 2 3 4\n1 2 a 4\n")
 
 
 class TestLinearSystem:
@@ -462,9 +469,19 @@ def reference_gauged(oss, gauge):
                                   ((a, zero, zero), (b, zero, one)))
 
 
+def fraction_form(space, terms):
+    """A sparse ambient linear form, ((column, coefficient), ...), as
+    (constant, parameter coefficients) on the space, evaluated in
+    Fractions from its particular solution and basis."""
+    const = sum((c * space.particular[col] for col, c in terms), Fraction(0))
+    lin = tuple(sum((c * b[col] for col, c in terms), Fraction(0))
+                for b in space.basis)
+    return const, lin
+
+
 def _vanish_on(space, term_lists):
     for terms in term_lists:
-        const, lin = _form_on_space(space, terms)
+        const, lin = fraction_form(space, terms)
         if const or any(lin):
             return False
     return True
@@ -511,7 +528,7 @@ def reference_forced_squares(oss, space):
 
 def _oracle_systems():
     """The worked examples and the maximal sets of the square records with
-    5..11 points, each also without its last square and without its first
+    5..14 points, each also without its last square and without its first
     and last squares."""
     full = {"two-squares-7": TWO_SQUARES_7,
             "three-squares-9": THREE_SQUARES_9,
@@ -519,7 +536,7 @@ def _oracle_systems():
             "five-squares-10": FIVE_SQUARES_10,
             "forced-fifth-10": FORCED_FIFTH_OSS}
     for rec in load_default_corpus():
-        if rec.family == "square" and 5 <= rec.n <= 11:
+        if rec.family == "square" and 5 <= rec.n <= 14:
             full[rec.id] = oss_from_pointset(rec.point_set())
     out = {}
     for name, oss in full.items():
@@ -536,9 +553,9 @@ class TestAgainstReferenceScans:
     def test_system_set(self):
         # The set reaches both a non-realizable system and forced squares.
         systems = ORACLE_SYSTEMS.values()
-        assert len(systems) == 57
+        assert len(systems) == 69
         assert any(degenerate_pairs(oss) for oss in systems)
-        assert sum(1 for oss in systems if forced_squares(oss)) == 16
+        assert sum(1 for oss in systems if forced_squares(oss)) == 24
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_space_matches_reference(self, name):
@@ -569,6 +586,30 @@ class TestAgainstReferenceScans:
     def test_inconsistent_gauge_reached(self):
         oss = ORACLE_SYSTEMS["five-squares-10"]
         assert reference_gauged(oss, oss.squares[0][:2]) is None
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_table_is_one_multiple_of_the_fraction_forms(self, name):
+        # Every label form of a space, unrestricted and gauged, is the same
+        # positive integer D times its form in Fractions.
+        oss = ORACLE_SYSTEMS[name]
+        spaces = [solve_space(oss)]
+        if oss.squares and reference_gauged(oss, oss.squares[0][:2]):
+            spaces.append(solve_gauged(oss, space=spaces[0]))
+        for space in spaces:
+            factors = set()
+            for j, point in enumerate(space.table):
+                for axis, (const, lin) in enumerate(point):
+                    ref_const, ref_lin = fraction_form(
+                        space, ((2 * j + axis, 1),))
+                    assert all(type(v) is int for v in (const, *lin))
+                    assert len(lin) == len(ref_lin)
+                    for v, ref in zip((const, *lin), (ref_const, *ref_lin)):
+                        if ref:
+                            factors.add(v / ref)
+                        else:
+                            assert v == 0
+            (factor,) = factors
+            assert factor.denominator == 1 and factor > 0
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_scans_match_reference(self, name):
