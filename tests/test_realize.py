@@ -564,7 +564,8 @@ class TestAgainstReferenceScans:
 
     @pytest.mark.parametrize(("name", "gauge"), [
         *((name, None) for name in sorted(ORACLE_SYSTEMS)),
-        ("four-squares-10", (1, 3)),
+        pytest.param("four-squares-10", (1, 3),
+                     id="four-squares-10-gauge-1-3"),
     ])
     def test_gauged_matches_reference(self, name, gauge):
         # Without a space and continued from a given unrestricted space;
@@ -586,6 +587,22 @@ class TestAgainstReferenceScans:
     def test_inconsistent_gauge_reached(self):
         oss = ORACLE_SYSTEMS["five-squares-10"]
         assert reference_gauged(oss, oss.squares[0][:2]) is None
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_pivot_rows_are_primitive(self, name):
+        # Each kept pivot row is the one primitive integer multiple of its
+        # reduced row: gcd 1, a positive entry at its own pivot column and
+        # none at another, so entries stay as small as the space allows.
+        oss = ORACLE_SYSTEMS[name]
+        spaces = [solve_space(oss)]
+        if oss.squares and reference_gauged(oss, oss.squares[0][:2]):
+            spaces.append(solve_gauged(oss, space=spaces[0]))
+        for space in spaces:
+            for col, row in space._pivots.items():
+                assert min(row) == col and row[col] > 0
+                assert all(type(c) is int and c for c in row.values())
+                assert gcd(*row.values()) == 1
+                assert not (row.keys() - {col}) & space._pivots.keys()
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_table_is_one_multiple_of_the_fraction_forms(self, name):
